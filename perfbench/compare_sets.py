@@ -3,22 +3,21 @@
 
 Run from the repository root:
 
-    python3 perfbench/compare_sets.py [--runs 10] [--workloads tree-fine,sp-serve] [--sets 2]
+    python3 perfbench/compare_sets.py
 
-Set A uses seeds 1..runs and set B seeds 1001..1000+runs; every run is
-``perfbench/run.py --trace 0`` for ``run_seconds`` from BENCHMARK.json,
-one process at a time.  For each workload and end-to-end metric the
-report gives both medians and quartiles, the spread (quartile distance
-over the median) of each set, and whether the two sets agree within the
-metric's bound: each spread within the bound (``setup_s`` exempt), set
-B's median no worse than set A's by more than the bound, and the same
-share of failed operations.  The report is also written as JSON to
-``perfbench/out/``.
+Set A uses seeds 1..10 and set B seeds 1001..1010, on every workload in
+BENCHMARK.json; every run is ``perfbench/run.py --trace 0`` for
+``run_seconds``, one process at a time.  For each workload and end-to-end
+metric the report gives both medians and quartiles, the spread (quartile
+distance over the median) of each set, and whether the two sets agree
+within the metric's bound: each spread within the bound, set B's median
+no worse than set A's by more than the bound, and the same share of
+failed operations.  The report is also written as JSON to
+``perfbench/out/``; the exit code is 1 when some metric disagrees.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import statistics
@@ -29,7 +28,8 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 OUT = os.path.join(HERE, "out")
-SET_SEED_BASE = (1, 1001)
+SET_SEED_BASE = (1, 1001)  # sets A and B
+RUNS = 10  # runs per set and workload
 RUN_TIMEOUT_S = 200
 
 
@@ -53,28 +53,16 @@ def worse_by(a: float, b: float, better: str) -> float:
     return (b - a) / abs(a) if better == "lower" else (a - b) / abs(a)
 
 
-def main(argv=None) -> int:
+def main() -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    names = [w["name"] for w in spec["workloads"]]
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--workloads", default=",".join(names))
-    ap.add_argument("--sets", type=int, choices=(1, 2), default=2)
-    args = ap.parse_args(argv)
-    if args.runs < 2:
-        ap.error("--runs must be at least 2 for quartiles")
-    workloads = args.workloads.split(",")
-    for wl in workloads:
-        if wl not in names:
-            ap.error(f"unknown workload {wl!r}")
+    workloads = [w["name"] for w in spec["workloads"]]
 
     results = {}  # (set, workload) -> list of run results
-    for s in range(args.sets):
+    for s, base in enumerate(SET_SEED_BASE):
         for wl in workloads:
             runs = []
-            for i in range(args.runs):
-                seed = SET_SEED_BASE[s] + i
+            for seed in range(base, base + RUNS):
                 t0 = time.perf_counter()
                 res = run_once(wl, seed, spec["run_seconds"])
                 runs.append(res)
@@ -82,36 +70,31 @@ def main(argv=None) -> int:
                       f"attempted {res['attempted']} failed {res['failed']}", file=sys.stderr)
             results[(s, wl)] = runs
 
-    report = {"runs": args.runs, "run_seconds": spec["run_seconds"], "workloads": {}}
+    report = {"runs": RUNS, "run_seconds": spec["run_seconds"], "workloads": {}}
     ok = True
     for wl in workloads:
+        sets = (results[(0, wl)], results[(1, wl)])
         rows = {}
-        shares = [sum(r["failed"] for r in results[(s, wl)]) / sum(r["attempted"] for r in results[(s, wl)])
-                  for s in range(args.sets)]
-        correct = all(r["correct"] for s in range(args.sets) for r in results[(s, wl)])
-        print(f"\n{wl}: failed share {' / '.join(f'{x:.6f}' for x in shares)}, correct {correct}")
+        shares = [sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs) for runs in sets]
+        correct = all(r["correct"] for runs in sets for r in runs)
+        print(f"\n{wl}: failed share {shares[0]:.6f} / {shares[1]:.6f}, correct {correct}")
         print(f"  {'metric':<18} {'bound':>6} {'median A':>12} {'spread A':>9}"
-              + (f" {'median B':>12} {'spread B':>9} {'B worse':>8}" if args.sets == 2 else "") + "  verdict")
+              f" {'median B':>12} {'spread B':>9} {'B worse':>8}  verdict")
         for m in spec["end_to_end"]:
             name, bound = m["name"], m["bound"]
-            sets = [summary([r["metrics"][name]["value"] for r in results[(s, wl)]]) for s in range(args.sets)]
-            agree = name == "setup_s" or all(x["spread"] <= bound for x in sets)
-            line = f"  {name:<18} {bound:>6.2f} {sets[0]['median']:>12.5g} {sets[0]['spread']:>9.4f}"
-            row = {"bound": bound, "better": m["better"], "sets": sets}
-            if args.sets == 2:
-                worse = worse_by(sets[0]["median"], sets[1]["median"], m["better"])
-                agree = agree and worse <= bound
-                row["b_worse_by"] = worse
-                line += f" {sets[1]['median']:>12.5g} {sets[1]['spread']:>9.4f} {worse:>8.4f}"
-            steady = all(x["spread"] < bound / 3 for x in sets)
-            row.update(agree=agree, steady=steady)
-            print(line + ("  agree" if agree else "  DISAGREE") + ("" if steady or name == "setup_s" else " (spread above bound/3)"))
-            rows[name] = row
+            a, b = (summary([r["metrics"][name]["value"] for r in runs]) for runs in sets)
+            worse = worse_by(a["median"], b["median"], m["better"])
+            agree = a["spread"] <= bound and b["spread"] <= bound and worse <= bound
+            steady = a["spread"] < bound / 3 and b["spread"] < bound / 3
+            rows[name] = {"bound": bound, "better": m["better"], "sets": [a, b], "b_worse_by": worse,
+                          "agree": agree, "steady": steady}
+            print(f"  {name:<18} {bound:>6.2f} {a['median']:>12.5g} {a['spread']:>9.4f}"
+                  f" {b['median']:>12.5g} {b['spread']:>9.4f} {worse:>8.4f}"
+                  + ("  agree" if agree else "  DISAGREE") + ("" if steady else " (spread above bound/3)"))
             ok = ok and agree
-        same_share = len(set(shares)) == 1
-        ok = ok and same_share and correct
+        ok = ok and shares[0] == shares[1] and correct
         report["workloads"][wl] = {"failed_share": shares, "correct": correct, "metrics": rows,
-                                   "raw": [results[(s, wl)] for s in range(args.sets)]}
+                                   "raw": list(sets)}
     os.makedirs(OUT, exist_ok=True)
     path = os.path.join(OUT, f"compare-{int(time.time())}.json")
     with open(path, "w", encoding="utf-8") as fh:

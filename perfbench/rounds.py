@@ -1,7 +1,7 @@
 """Workloads and the round of pipeline calls the benchmark times.
 
 A round makes the calls ``minor-decomp pipeline --verify full`` makes, in
-its order; round r builds its cover with seed ``COVER_SEEDS[r % 4]``:
+its order; round r builds its cover with seed ``COVER_SEEDS[r % 2]``:
 
 1. first partition: build_cop_decomposition, subtree_view, cover,
    color_classes, boundary_distances, membership_matrix, sample_padded;
@@ -20,7 +20,7 @@ from __future__ import annotations
 import statistics
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +54,10 @@ class Workload:
 WORKLOADS = {
     w.name: w
     for w in (
-        # about one supernode per vertex: per-supernode work and full sweeps
-        Workload("tree-fine", "tree", 255, "unit", 2.0, 1.0, partitions=50, trials=50),
-        # few, long supernodes: bounded point_ball queries and the cover recursion
+        # about one supernode per vertex: per-supernode work, full sweeps, and
+        # clusters x vertices matrices large enough to show in peak RSS
+        Workload("tree-fine", "tree", 511, "unit", 2.0, 1.0, partitions=30, trials=50),
+        # few, long supernodes: the cover's bounded point_ball queries
         Workload("grid-coarse", "grid", 16, "unit", 3.0, 1.0, partitions=200, trials=100),
         # many partitions and a long Monte Carlo run per cover
         Workload("sp-serve", "series_parallel", 200, "geometric", 8.0, 1.0, partitions=200, trials=150),
@@ -64,7 +65,9 @@ WORKLOADS = {
 }
 
 GRAPH_SEED = 1  # generator seed: series-parallel shape and geometric weights
-COVER_SEEDS = (1, 2, 3, 4)  # round r builds its cover with COVER_SEEDS[r % 4]
+# round r builds its cover with COVER_SEEDS[r % 2]; two covers, so that even
+# tree-fine's 3-second rounds repeat each cover about six times in a run
+COVER_SEEDS = (1, 2)
 SAMPLE, MONTE_CARLO, WARM_UP = 2, 3, 4
 
 
@@ -116,6 +119,19 @@ class Bench:
     def span(self, name):
         return self.tracer.span(name) if self.tracer is not None else nullcontext()
 
+    @contextmanager
+    def untraced(self):
+        """Run the body with the library unpatched and no spans recorded."""
+        tracer, self.tracer = self.tracer, None
+        if tracer is not None:
+            tracer.uninstall()
+        try:
+            yield
+        finally:
+            if tracer is not None:
+                tracer.install(MODULES)
+                self.tracer = tracer
+
     def first_partition(self, cover_seed: int, sample_seed: int):
         g, w = self.g, self.w
         with self.span("bench.first_partition"):
@@ -160,20 +176,19 @@ class Bench:
 
         if self.tracer is not None:
             # the same build untraced, for the tracing overhead
-            tracer, self.tracer = self.tracer, None
-            tracer.uninstall()
-            elapsed, built = self.first_partition(cover_seed, sample_seed)
-            self.times["untraced_first_partition"][which].append(elapsed)
-            self.check_first_partition(ref, built, sample_seed)
-            del built
-            tracer.install(MODULES)
-            self.tracer = tracer
-            first_span = len(tracer.spans)
+            with self.untraced():
+                elapsed, built = self.first_partition(cover_seed, sample_seed)
+                self.times["untraced_first_partition"][which].append(elapsed)
+                self.check_first_partition(ref, built, sample_seed)
+                del built
+            first_span = len(self.tracer.spans)
 
         elapsed, built = self.first_partition(cover_seed, sample_seed)
         self.times["first_partition"][which].append(elapsed)
         tree, view, c, boundary, membership, pp = built
-        facts = self.check_first_partition(ref, built, sample_seed)
+        # the check redraws a partition: keep that call out of the spans
+        with self.untraced():
+            facts = self.check_first_partition(ref, built, sample_seed)
         self.sparsities[which] = facts.sparsity
         if self.tracer is not None:
             self.tracer.notes = {

@@ -67,6 +67,7 @@ PER_LAYER = {
     "partition_tree.domain_mask_bytes": ("B", "lower"),
     "partition_tree.verify_buffered_busy_s": ("s", "lower"),
     "separator.select_busy_s": ("s", "lower"),
+    "separator.point_ball_busy_s": ("s", "lower"),
     "separator.point_ball_calls": ("count", "lower"),
     "separator.point_ball_hit_ratio": ("ratio", "higher"),
     "separator.dist_to_node_calls": ("count", "lower"),
@@ -95,6 +96,7 @@ BUSY = {
     "partition_tree.domains_bags_busy_s": "partition_tree.compute_domains_and_bags",
     "partition_tree.verify_buffered_busy_s": "partition_tree.verify_buffered",
     "separator.select_busy_s": "separator.separator_supernodes",
+    "separator.point_ball_busy_s": "separator.point_ball",
     "sparse_cover.cover_busy_s": "sparse_cover.cover",
     "sparse_cover.color_busy_s": "sparse_cover.color_classes",
     "sparse_cover.verify_cover_busy_s": "sparse_cover.verify_cover",
