@@ -50,28 +50,19 @@ class CopConfig:
             raise StructuralError("delta must be positive")
 
 
-def _predecessors(g: WeightedGraph, dist: np.ndarray, comp_mask: np.ndarray, root: int) -> dict[int, int]:
-    """Smallest-id predecessor on some shortest path, per reachable vertex.
+def _shortest_pred(g: WeightedGraph, dist: np.ndarray, v: int) -> int:
+    """Smallest-id predecessor of v on some shortest path from the sweep's root.
 
-    dist[v] was produced by Dijkstra relaxations, so for every reachable
-    v != root at least one neighbor u satisfies dist[u] + w == dist[v]
-    exactly in float arithmetic.
+    dist[v] was produced by Dijkstra relaxations, so for a reached v other
+    than the root at least one neighbor u satisfies dist[u] + w == dist[v]
+    exactly in float arithmetic; unreached neighbors hold +inf and never do.
     """
-    pred: dict[int, int] = {}
-    for v in np.flatnonzero(comp_mask):
-        v = int(v)
-        if v == root or dist[v] == np.inf:
-            continue
-        best = -1
-        for e in range(g.indptr[v], g.indptr[v + 1]):
-            u = int(g.indices[e])
-            if comp_mask[u] and dist[u] + g.weights[e] == dist[v]:
-                if best == -1 or u < best:
-                    best = u
-        if best == -1:
-            raise StructuralError(f"no shortest-path predecessor for vertex {v}")
-        pred[v] = best
-    return pred
+    lo, hi = g.indptr[v], g.indptr[v + 1]
+    nbrs = g.indices[lo:hi]
+    hits = nbrs[dist[nbrs] + g.weights[lo:hi] == dist[v]]
+    if hits.size == 0:
+        raise StructuralError(f"no shortest-path predecessor for vertex {v}")
+    return int(hits.min())
 
 
 def build_cop_decomposition(g: WeightedGraph, cfg: CopConfig) -> PartitionTree:
@@ -87,9 +78,13 @@ def build_cop_decomposition(g: WeightedGraph, cfg: CopConfig) -> PartitionTree:
     supernodes: list[Supernode] = []
 
     while unprocessed.any():
-        comp = connected_components(g, unprocessed)[0]  # holds smallest unprocessed id
-        comp_mask = np.zeros(n, dtype=np.bool_)
-        comp_mask[comp] = True
+        # one sweep from the smallest unprocessed id: its finite entries are
+        # the root's component of G[unprocessed], its values the skeleton's SSSP
+        root = int(np.argmax(unprocessed))
+        dist = multisource_dijkstra(
+            g.indptr, g.indices, g.weights, np.array([root], dtype=np.int64), unprocessed, np.inf
+        )
+        comp = np.flatnonzero(dist < np.inf)
 
         # previously built supernodes adjacent to this component
         adjacent: set[int] = set()
@@ -103,13 +98,7 @@ def build_cop_decomposition(g: WeightedGraph, cfg: CopConfig) -> PartitionTree:
                     adjacent.add(j)
                     contact.setdefault(j, []).append(v)
 
-        root = int(comp[0])
-        dist = multisource_dijkstra(
-            g.indptr, g.indices, g.weights, np.array([root], dtype=np.int64), comp_mask, np.inf
-        )
-
         if adjacent:
-            pred = _predecessors(g, dist, comp_mask, root)
             skel_edges: set[tuple[int, int]] = set()
             skel_verts = {root}
             for j in sorted(adjacent):
@@ -117,7 +106,7 @@ def build_cop_decomposition(g: WeightedGraph, cfg: CopConfig) -> PartitionTree:
                 leaf = min(cand, key=lambda v: (dist[v], v))
                 v = leaf
                 while v != root and v not in skel_verts:
-                    u = pred[v]
+                    u = _shortest_pred(g, dist, v)
                     skel_edges.add((u, v))
                     skel_verts.add(v)
                     v = u
@@ -131,7 +120,7 @@ def build_cop_decomposition(g: WeightedGraph, cfg: CopConfig) -> PartitionTree:
 
         r = cfg.delta * sampler.sample()
         skel_src = np.asarray(skeleton.vertices(), dtype=np.int64)
-        sd = multisource_dijkstra(g.indptr, g.indices, g.weights, skel_src, comp_mask, r)
+        sd = multisource_dijkstra(g.indptr, g.indices, g.weights, skel_src, unprocessed, r)
         members = np.flatnonzero(sd <= r).astype(np.int64)
 
         sid = len(supernodes)

@@ -107,16 +107,25 @@ class PaddedPartition:
     delta: float
     lam: float
 
-    @property
-    def delta_bound(self) -> float:
-        return 1.0 / (4.0 * self.beta)
-
-    def part_of(self, v: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == self.assignment[v])
-
 
 def potential_matrix(shifts: np.ndarray, boundary: BoundaryDistances, beta: float, delta: float) -> np.ndarray:
     return shifts[:, None] * (delta / beta) + boundary.matrix
+
+
+def _sparsity_lambda(membership: np.ndarray) -> tuple[int, float]:
+    """Sparsity s and lambda = 2 + 2 ln s from one count per vertex.
+
+    Raises StructuralError if the cover is empty or some vertex lies in
+    no cluster (the cover precondition), naming the lowest such vertex.
+    """
+    if membership.shape[0] == 0:
+        raise StructuralError("cover has no clusters")
+    counts = np.count_nonzero(membership, axis=0)
+    if not counts.all():
+        v = int(np.argmin(counts))
+        raise StructuralError(f"vertex {v} is covered by no cluster")
+    s = int(counts.max())
+    return s, 2.0 + 2.0 * math.log(max(s, 1))
 
 
 def sample_padded(
@@ -130,23 +139,16 @@ def sample_padded(
 ) -> PaddedPartition:
     """Draw one padded partition; deterministic given the seed.
 
-    Raises StructuralError if some vertex lies in no cluster (the cover
-    precondition is violated).  Ties in the potential are broken toward
-    the lowest cluster index.
+    Raises StructuralError if the cover is empty or some vertex lies in no
+    cluster (the cover precondition is violated).  Ties in the potential
+    are broken toward the lowest cluster index.
     """
     n = g.vertex_count
-    if not c.clusters:
-        raise StructuralError("cover has no clusters")
-    s = c.sparsity(n)
-    lam = 2.0 + 2.0 * math.log(max(s, 1))
     if boundary is None:
         boundary = boundary_distances(g, c)
     if membership is None:
         membership = c.membership_matrix(n)
-    uncovered = ~membership.any(axis=0)
-    if uncovered.any():
-        v = int(np.flatnonzero(uncovered)[0])
-        raise StructuralError(f"vertex {v} is covered by no cluster")
+    _, lam = _sparsity_lambda(membership)
 
     sampler = TexpSampler(lam, rng=derive_rng(seed, "padded-shifts"))
     shifts = sampler.sample_many(len(c.clusters))
@@ -222,7 +224,7 @@ def _ball_csr(g: WeightedGraph, radius: float):
 
 def estimate_padding(
     g: WeightedGraph,
-    cover_source,
+    c: Cover,
     beta: float,
     delta: float,
     gamma: float,
@@ -231,19 +233,16 @@ def estimate_padding(
 ) -> PaddingEstimate:
     """Empirical padding probabilities over independent sampled partitions.
 
-    ``cover_source`` is the deterministic cover (or a zero-argument
-    callable producing it); it is fixed once and only the shifts resample.
+    The cover ``c`` is fixed; only the shifts resample.
     """
     if trials < 1:
         raise StructuralError("trials must be >= 1")
     if gamma < 0 or gamma > 1.0 / (4.0 * beta):
         raise StructuralError("gamma must lie in [0, 1/(4 beta)]")
-    c = cover_source() if callable(cover_source) else cover_source
     n = g.vertex_count
     boundary = boundary_distances(g, c)
     membership = c.membership_matrix(n)
-    s = c.sparsity(n)
-    lam = 2.0 + 2.0 * math.log(max(s, 1))
+    s, lam = _sparsity_lambda(membership)
     bound = math.exp(-4.0 * beta * gamma * lam)
     r = gamma * delta
     ball_indptr, ball_flat = _ball_csr(g, r)

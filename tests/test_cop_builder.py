@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from minor_decomp import cop_builder
 from minor_decomp.cop_builder import CopConfig, build_cop_decomposition, build_with_gamma_search
 from minor_decomp.generators import FamilySpec, generate
 from minor_decomp.graph_core import StructuralError, WeightedGraph
@@ -45,6 +46,22 @@ class TestBuild:
         g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(StructuralError, match="connected"):
             build_cop_decomposition(g, CopConfig(delta=1.0, seed=0))
+
+    def test_one_components_call_per_build(self, monkeypatch):
+        # the connectivity check is the only labeling pass; each supernode's
+        # component comes from its root sweep, so the build stays linear
+        calls = []
+        orig = cop_builder.connected_components
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(cop_builder, "connected_components", counting)
+        g = generate(FamilySpec(family="tree", n=127, weights="unit", seed=1))
+        tree = build_cop_decomposition(g, CopConfig(delta=2.0, seed=1))
+        assert len(tree) > 1
+        assert len(calls) == 1
 
     def test_determinism_byte_for_byte(self):
         g = grid_graph(5, 5)

@@ -182,13 +182,23 @@ class TestEstimatePadding:
         assert est.min_prob == 1.0
         assert est.passed
 
-    def test_callable_cover_source(self):
-        g = path_graph(5)
-        est = estimate_padding(
-            g, lambda: make_cover([[0, 1, 2, 3, 4]]),
-            beta=1.0, delta=4.0, gamma=0.1, trials=20, seed=3,
-        )
-        assert est.min_prob == 1.0
+    def test_sparsity_read_from_membership(self, monkeypatch):
+        # lambda and the coverage check come from the membership matrix the
+        # caller passes, so no draw walks the cluster list again
+        g = grid_graph(4, 4)
+        tree = build_cop_decomposition(g, CopConfig(delta=2.0, seed=1))
+        c = cover(subtree_view(tree, g), full_mask(16), rho=1.0, delta=2.0)
+        s = c.sparsity(16)
+        m = c.membership_matrix(16)
+
+        def recount(self, n):
+            raise AssertionError("Cover.sparsity called")
+
+        monkeypatch.setattr(Cover, "sparsity", recount)
+        pp = sample_padded(g, c, 12.0, 24.0, seed=5, membership=m)
+        assert pp.lam == pytest.approx(2.0 + 2.0 * math.log(max(s, 1)))
+        est = estimate_padding(g, c, beta=12.0, delta=24.0, gamma=0.0, trials=5, seed=3)
+        assert est.extra["sparsity"] == s
 
     def test_gamma_out_of_range_rejected(self):
         g = path_graph(5)
