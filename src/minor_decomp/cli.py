@@ -311,12 +311,20 @@ def _cmd_padded(args) -> int:
     delta_p = args.delta if args.delta is not None else (4.0 + 8.0 * rho) * delta_c
     beta = args.beta if args.beta is not None else (4.0 + 8.0 * rho) / rho
     seed = _root_seed(args)
-    pp = sample_padded(g, c, beta, delta_p, seed=_derive_int(seed, "padded-sample"))
+    boundary = boundary_distances(g, c)
+    membership = c.membership_matrix(g.vertex_count)
+    pp = sample_padded(
+        g, c, beta, delta_p, seed=_derive_int(seed, "padded-sample"),
+        boundary=boundary, membership=membership,
+    )
     stats = {}
     ok = True
     if args.trials > 0:
         gamma = args.gamma if args.gamma is not None else 1.0 / (4.0 * beta)
-        est = estimate_padding(g, c, beta, delta_p, gamma, args.trials, _derive_int(seed, "padded-mc"))
+        est = estimate_padding(
+            g, c, beta, delta_p, gamma, args.trials, _derive_int(seed, "padded-mc"),
+            boundary=boundary, membership=membership,
+        )
         stats = est.to_json_obj()
         ok = est.passed
     obj = {
@@ -494,7 +502,14 @@ def run_pipeline(cfg: PipelineConfig) -> tuple[dict, int]:
     timings["verify_cover"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    pp = sample_padded(g, merged, beta, diam_bound, seed=_derive_int(seed, "padded-sample"))
+    # one boundary and one membership matrix serve the sample, its check and
+    # the Monte Carlo estimate
+    boundary = boundary_distances(g, merged)
+    membership = merged.membership_matrix(g.vertex_count)
+    pp = sample_padded(
+        g, merged, beta, diam_bound, seed=_derive_int(seed, "padded-sample"),
+        boundary=boundary, membership=membership,
+    )
     sample_diams = []
     for label in np.unique(pp.assignment):
         ids = np.flatnonzero(pp.assignment == label)
@@ -502,15 +517,15 @@ def run_pipeline(cfg: PipelineConfig) -> tuple[dict, int]:
     stats["sampled_partition_max_diam"] = max(sample_diams) if sample_diams else 0.0
     if level in ("structural", "full"):
         checks["padded_diameter"] = stats["sampled_partition_max_diam"] <= diam_bound
-        mat = merged.membership_matrix(g.vertex_count)
-        checks["padded_membership"] = bool(mat[pp.assignment, np.arange(g.vertex_count)].all())
+        checks["padded_membership"] = bool(membership[pp.assignment, np.arange(g.vertex_count)].all())
     timings["sample_padded"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if level == "full" and cfg.trials > 0:
         gamma = cfg.gamma if cfg.gamma is not None else 1.0 / (4.0 * beta)
         est = estimate_padding(
-            g, merged, beta, diam_bound, gamma, cfg.trials, _derive_int(seed, "padded-mc")
+            g, merged, beta, diam_bound, gamma, cfg.trials, _derive_int(seed, "padded-mc"),
+            boundary=boundary, membership=membership,
         )
         stats["min_pad_prob"] = est.min_prob
         stats["pad_bound"] = est.bound

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._kernels import multisource_dijkstra
-from .graph_core import StructuralError, WeightedGraph, connected_components
+from .graph_core import StructuralError, WeightedGraph, connected_components, incident_edges
 from .padded import TexpSampler
 from .partition_tree import (
     BufferReport,
@@ -86,32 +86,29 @@ def build_cop_decomposition(g: WeightedGraph, cfg: CopConfig) -> PartitionTree:
         )
         comp = np.flatnonzero(dist < np.inf)
 
-        # previously built supernodes adjacent to this component
-        adjacent: set[int] = set()
-        contact: dict[int, list[int]] = {}  # supernode id -> component vertices touching it
-        for v in comp:
-            v = int(v)
-            for e in range(g.indptr[v], g.indptr[v + 1]):
-                u = int(g.indices[e])
-                if node_of[u] != -1:
-                    j = int(node_of[u])
-                    adjacent.add(j)
-                    contact.setdefault(j, []).append(v)
+        # previously built supernodes adjacent to this component, read from
+        # the component's edge ranges: edge e joins ends[e] to supernode near[e]
+        pos = incident_edges(g, comp)
+        ends = np.repeat(comp, g.indptr[comp + 1] - g.indptr[comp])
+        near = node_of[g.indices[pos]]
+        touching = near != -1
+        ends, near = ends[touching], near[touching]
+        adjacent = np.unique(near)
 
-        if adjacent:
+        if adjacent.size:
             skel_edges: set[tuple[int, int]] = set()
             skel_verts = {root}
-            for j in sorted(adjacent):
-                cand = contact[j]
-                leaf = min(cand, key=lambda v: (dist[v], v))
-                v = leaf
+            for j in adjacent:
+                # contact vertex: nearest to the root, smallest id on ties
+                cand = ends[near == j]
+                v = int(cand[np.lexsort((cand, dist[cand]))[0]])
                 while v != root and v not in skel_verts:
                     u = _shortest_pred(g, dist, v)
                     skel_edges.add((u, v))
                     skel_verts.add(v)
                     v = u
             skeleton = SkeletonTree(root=root, edges=sorted(skel_edges))
-            parent = max(adjacent)  # most recently created neighbor
+            parent = int(adjacent[-1])  # most recently created neighbor
         else:
             if supernodes:
                 raise StructuralError("disconnected leftover component with no neighbor")

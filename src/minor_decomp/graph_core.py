@@ -175,6 +175,18 @@ def full_mask(n: int) -> VertexSet:
     return np.ones(n, dtype=np.bool_)
 
 
+def incident_edges(g: WeightedGraph, ids: np.ndarray) -> np.ndarray:
+    """CSR positions of the edges leaving ``ids``, one vertex's range after another.
+
+    ``g.indices`` at these positions gives the neighbors, ``g.weights`` the
+    edge weights.
+    """
+    starts = g.indptr[ids]
+    lengths = g.indptr[ids + 1] - starts
+    offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return np.arange(offsets.size, dtype=np.int64) + offsets
+
+
 # --- queries ---
 
 

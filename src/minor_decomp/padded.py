@@ -8,11 +8,15 @@ cluster (containing it) that maximizes the potential
     f_C(v) = shift_C * (delta / beta) + boundary_C(v),
 
 where boundary_C(v) is the full-graph distance from v to the complement of
-C (zero outside C, +inf when C is the whole vertex set).  The resulting
-partition refines the cover (each part is a subset of its cluster), hence
-is delta-bounded, and a ball of radius gamma * delta stays in one part
-with probability at least exp(-4 * beta * gamma * lambda), where
-lambda = 2 + 2 ln s and s is the cover's measured sparsity.
+C (zero outside C, +inf when C is the whole vertex set).  It is read only
+for v in C, and a shortest path from there leaves C by its last edge, so
+each cluster is swept from its rim (the outside vertices adjacent to it)
+within C plus the rim: the sweeps cost the clusters, not one graph sweep
+per cluster.  The resulting partition refines the cover (each part is a
+subset of its cluster), hence is delta-bounded, and a ball of radius
+gamma * delta stays in one part with probability at least
+exp(-4 * beta * gamma * lambda), where lambda = 2 + 2 ln s and s is the
+cover's measured sparsity.
 
 ``estimate_padding`` is the Monte Carlo harness certifying that last
 guarantee: it draws independent partitions, tracks per-vertex containment
@@ -30,7 +34,7 @@ import numpy as np
 from scipy.stats import beta as beta_dist
 
 from ._kernels import multisource_dijkstra
-from .graph_core import StructuralError, WeightedGraph, full_mask
+from .graph_core import StructuralError, WeightedGraph, full_mask, incident_edges
 from .seeding import derive_rng, derive_seed_sequence
 from .sparse_cover import Cover
 
@@ -83,16 +87,26 @@ class BoundaryDistances:
 
 
 def boundary_distances(g: WeightedGraph, c: Cover) -> BoundaryDistances:
+    """Distance from each cluster member to the cluster's complement.
+
+    A shortest path from v in C to a vertex outside C stays inside C until
+    its last edge, which ends on C's rim: the vertices outside C adjacent
+    to C.  So each cluster is swept from its rim, restricted to C plus the
+    rim.  This forms the same sums as a full-graph sweep from the
+    complement, so the values are equal bit for bit, at the cost of the
+    cluster.  Entries outside C are 0; C's entries stay +inf when the rim
+    is empty (C = V, or C a union of whole components).
+    """
     n = g.vertex_count
-    k = len(c.clusters)
-    mat = np.empty((k, n), dtype=np.float64)
-    rmask = full_mask(n)
+    mat = np.zeros((len(c.clusters), n), dtype=np.float64)
     for i, cl in enumerate(c.clusters):
-        outside = np.ones(n, dtype=np.bool_)
-        outside[cl.vertices] = False
-        sources = np.flatnonzero(outside).astype(np.int64)
-        # empty complement (cluster == V) leaves the row at +inf
-        mat[i] = multisource_dijkstra(g.indptr, g.indices, g.weights, sources, rmask, np.inf)
+        restrict = np.zeros(n, dtype=np.bool_)
+        restrict[cl.vertices] = True
+        nbrs = g.indices[incident_edges(g, cl.vertices)]
+        rim = np.unique(nbrs[~restrict[nbrs]])
+        restrict[rim] = True
+        dist = multisource_dijkstra(g.indptr, g.indices, g.weights, rim, restrict, np.inf)
+        mat[i, cl.vertices] = dist[cl.vertices]
     return BoundaryDistances(matrix=mat)
 
 
@@ -152,9 +166,10 @@ def sample_padded(
 
     sampler = TexpSampler(lam, rng=derive_rng(seed, "padded-shifts"))
     shifts = sampler.sample_many(len(c.clusters))
-    f = potential_matrix(shifts, boundary, beta, delta)
-    masked = np.where(membership, f, -np.inf)
-    assignment = np.argmax(masked, axis=0).astype(np.int64)
+    # one float matrix per draw: the potential, masked in place
+    f = boundary.matrix + shifts[:, None] * (delta / beta)
+    np.putmask(f, ~membership, -np.inf)
+    assignment = np.argmax(f, axis=0).astype(np.int64)
     return PaddedPartition(assignment=assignment, shifts=shifts, beta=beta, delta=delta, lam=lam)
 
 
@@ -230,18 +245,23 @@ def estimate_padding(
     gamma: float,
     trials: int,
     seed: int,
+    boundary: BoundaryDistances | None = None,
+    membership: np.ndarray | None = None,
 ) -> PaddingEstimate:
     """Empirical padding probabilities over independent sampled partitions.
 
-    The cover ``c`` is fixed; only the shifts resample.
+    The cover ``c`` is fixed; only the shifts resample.  ``boundary`` and
+    ``membership``, when given, are ``c``'s, as in ``sample_padded``.
     """
     if trials < 1:
         raise StructuralError("trials must be >= 1")
     if gamma < 0 or gamma > 1.0 / (4.0 * beta):
         raise StructuralError("gamma must lie in [0, 1/(4 beta)]")
     n = g.vertex_count
-    boundary = boundary_distances(g, c)
-    membership = c.membership_matrix(n)
+    if boundary is None:
+        boundary = boundary_distances(g, c)
+    if membership is None:
+        membership = c.membership_matrix(n)
     s, lam = _sparsity_lambda(membership)
     bound = math.exp(-4.0 * beta * gamma * lam)
     r = gamma * delta

@@ -155,6 +155,25 @@ class TestPipeline:
         del ra["timestamp"], rb["timestamp"]
         assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
 
+    def test_one_boundary_build_per_run(self, monkeypatch, capsys):
+        from minor_decomp import cli, padded
+
+        calls = []
+        build = padded.boundary_distances
+
+        def counted(g, c):
+            calls.append(len(c.clusters))
+            return build(g, c)
+
+        monkeypatch.setattr(cli, "boundary_distances", counted)
+        monkeypatch.setattr(padded, "boundary_distances", counted)
+        code = cli.main(["pipeline", "--family", "grid", "--rows", "6", "--cols", "6",
+                         "--delta", "2", "--rho", "1", "--seed", "7", "--verify", "full",
+                         "--trials", "40"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["verification"]["passed"] is True
+        assert len(calls) == 1
+
     def test_seed_env_fallback(self, grid_file):
         import os
         import subprocess as sp

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from minor_decomp import padded as padded_mod
 from minor_decomp.cop_builder import CopConfig, build_cop_decomposition
-from minor_decomp.graph_core import StructuralError, full_mask
+from minor_decomp.graph_core import StructuralError, WeightedGraph, full_mask, shortest_paths
 from minor_decomp.oracles import apsp_bruteforce
 from minor_decomp.padded import (
     TexpSampler,
@@ -97,6 +98,73 @@ class TestBoundaryDistances:
             for u, v, w in g.edges():
                 assert abs(bd.matrix[0, u] - bd.matrix[0, v]) <= w
                 checked += 1
+
+    @staticmethod
+    def _by_definition(g, c):
+        """Full-graph sweep from each cluster's complement, zero outside it."""
+        n = g.vertex_count
+        mat = np.zeros((len(c.clusters), n))
+        for i, cl in enumerate(c.clusters):
+            outside = np.ones(n, dtype=np.bool_)
+            outside[cl.vertices] = False
+            mat[i, cl.vertices] = shortest_paths(g, np.flatnonzero(outside))[cl.vertices]
+        return mat
+
+    @staticmethod
+    def _float_weight_graph(n, p, rng, offset=0):
+        """Random connected graph on offset..offset+n-1, weights in [0.1, 3)."""
+        order = offset + rng.permutation(n)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(order[:-1], order[1:])}
+        for u in range(offset, offset + n):
+            for v in range(u + 1, offset + n):
+                if rng.random() < p:
+                    edges.add((u, v))
+        return [(int(u), int(v), float(rng.uniform(0.1, 3.0))) for u, v in sorted(edges)]
+
+    def test_equals_full_sweep_from_complement(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n = int(rng.integers(2, 40))
+            g = WeightedGraph(n, self._float_weight_graph(n, 0.15, rng))
+            lists = [list(range(n)), [int(rng.integers(n))], [int(rng.integers(n))]]
+            for _ in range(6):
+                size = int(rng.integers(1, n + 1))
+                lists.append(sorted(int(v) for v in rng.permutation(n)[:size]))
+            c = make_cover(lists)
+            assert boundary_distances(g, c).matrix.tobytes() == self._by_definition(g, c).tobytes()
+
+    def test_equals_full_sweep_on_disconnected_graph(self):
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            a, b = int(rng.integers(2, 20)), int(rng.integers(2, 20))
+            edges = self._float_weight_graph(a, 0.2, rng) + self._float_weight_graph(b, 0.2, rng, offset=a)
+            g = WeightedGraph(a + b, edges)
+            part = [int(v) for v in a + rng.permutation(b)[: int(rng.integers(1, b))]]
+            lists = [list(range(a)), list(range(a, a + b)), sorted(list(range(a)) + part), sorted(part)]
+            c = make_cover(lists)
+            got = boundary_distances(g, c).matrix
+            assert got.tobytes() == self._by_definition(g, c).tobytes()
+            # a whole component has an empty rim: its entries stay +inf
+            assert np.all(got[0, :a] == np.inf) and np.all(got[1, a:] == np.inf)
+
+    def test_sweeps_restricted_to_cluster_and_rim(self, monkeypatch):
+        g = WeightedGraph(127, [((v - 1) // 2, v, 1.0) for v in range(1, 127)])
+        tree = build_cop_decomposition(g, CopConfig(delta=2.0, seed=1))
+        c = cover(subtree_view(tree, g), full_mask(127), rho=1.0, delta=2.0)
+        seen = []
+        kernel = padded_mod.multisource_dijkstra
+
+        def spy(indptr, indices, weights, sources, restrict, cutoff):
+            seen.append(restrict.copy())
+            return kernel(indptr, indices, weights, sources, restrict, cutoff)
+
+        monkeypatch.setattr(padded_mod, "multisource_dijkstra", spy)
+        boundary_distances(g, c)
+        assert len(seen) == len(c.clusters)
+        for cl, restrict in zip(c.clusters, seen):
+            inside = set(int(v) for v in cl.vertices)
+            rim = {v for u in inside for v in map(int, g.neighbors(u)) if v not in inside}
+            assert set(np.flatnonzero(restrict).tolist()) == inside | rim
 
 
 class TestSamplePadded:
