@@ -8,7 +8,7 @@ structural definition; a Monte Carlo harness certifies the padding
 probability guarantee.
 """
 
-from ._kernels import get_backend, set_backend
+from ._kernels import get_backend
 from .cop_builder import CopConfig, build_cop_decomposition, build_with_gamma_search
 from .generators import FamilySpec, generate
 from .graph_core import (
@@ -79,7 +79,6 @@ __all__ = [
     "get_backend",
     "sample_padded",
     "separator_supernodes",
-    "set_backend",
     "shortest_paths",
     "subtree_view",
     "subtree_width",

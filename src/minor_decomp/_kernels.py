@@ -14,8 +14,9 @@ Two interchangeable implementations are provided:
 * a pure numpy/heapq fallback with identical semantics.
 
 The backend is chosen once at import time from the ``MINOR_DECOMP_BACKEND``
-environment variable (``numba`` or ``numpy``); ``set_backend`` overrides it
-at runtime, which the benchmark uses to compare both paths in one process.
+environment variable (``numba`` or ``numpy``); to compare the two, run the
+same command under each value.  ``multisource_dijkstra`` also takes a
+per-call ``backend`` argument, which the kernel-agreement tests use.
 
 Cutoff semantics: every vertex whose true restricted distance is <= cutoff
 gets its exact distance; all other entries are +inf.  Comparisons are exact
@@ -63,17 +64,6 @@ _backend = _initial_backend()
 def get_backend() -> str:
     """Name of the kernel backend currently in use."""
     return _backend
-
-
-def set_backend(name: str) -> str:
-    """Switch the kernel backend ('numba' or 'numpy'); returns the old name."""
-    global _backend
-    if name not in _VALID_BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; expected one of {_VALID_BACKENDS}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    old, _backend = _backend, name
-    return old
 
 
 def have_numba() -> bool:

@@ -1,8 +1,7 @@
 """Command-line front end for the decomposition pipeline.
 
 Subcommands: generate | decompose | separate | cover | padded | verify |
-bench | pipeline (plus a hidden oracle subcommand for debugging).  All
-randomness flows from one root seed (``--seed`` or the MINOR_DECOMP_SEED
+pipeline.  All randomness flows from one root seed (``--seed`` or the MINOR_DECOMP_SEED
 environment variable) split per stage with fixed labels, so identical
 configs produce byte-identical JSON reports, except for the ``timestamp``
 field which carries the wall clock and per-stage timings.
@@ -14,13 +13,11 @@ malformed input.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -28,8 +25,7 @@ import numpy as np
 from . import _kernels
 from .cop_builder import CopConfig, build_cop_decomposition, build_with_gamma_search
 from .generators import FAMILIES, WEIGHT_MODES, FamilySpec, generate
-from .graph_core import StructuralError, WeightedGraph, connected_components, full_mask, weak_diameter
-from .oracles import apsp_bruteforce, minor_search
+from .graph_core import StructuralError, WeightedGraph, connected_components, full_mask, weak_diameters
 from .padded import boundary_distances, estimate_padding, sample_padded
 from .partition_tree import (
     compute_domains_and_bags,
@@ -185,13 +181,14 @@ def _cmd_separate(args) -> int:
 
 
 def _resolve_rho(args) -> float:
-    if (args.rho is None) == (args.epsilon is None):
-        raise StructuralError("exactly one of --rho / --epsilon must be given")
-    if args.rho is not None:
-        return args.rho
-    if args.epsilon <= 0:
-        raise StructuralError("--epsilon must be positive")
-    return 4.0 / args.epsilon
+    # main() has checked that exactly one is given and that --epsilon is positive
+    return args.rho if args.rho is not None else 4.0 / args.epsilon
+
+
+def _part_diameters(g: WeightedGraph, assignment: np.ndarray):
+    """The labels of a partition's parts, ascending, and each part's weak diameter."""
+    labels = np.unique(assignment)
+    return labels, weak_diameters(g, [np.flatnonzero(assignment == label) for label in labels])
 
 
 def _build_cover_for_graph(g, delta, rho, seed, gamma_target=None, gamma_retries=16):
@@ -362,17 +359,18 @@ def _cmd_verify(args) -> int:
     if args.kind == "padded":
         obj = json.loads(_read_text(args.input))
         assignment = np.asarray(obj["partition"], dtype=np.int64)
+        if assignment.shape != (g.vertex_count,):
+            raise StructuralError(
+                f"partition lists {assignment.size} labels for a graph of {g.vertex_count} vertices"
+            )
         delta_p = float(obj["params"]["delta"])
-        worst = 0.0
-        witness = None
-        for label in np.unique(assignment):
-            ids = np.flatnonzero(assignment == label)
-            d = weak_diameter(g, ids)
-            if d > worst:
-                worst = d
-            if d > delta_p:
-                witness = {"cluster": int(label), "diameter": d, "bound": delta_p}
-                break
+        labels, diams = _part_diameters(g, assignment)
+        worst = max(diams)
+        witness = next(
+            ({"cluster": int(label), "diameter": d, "bound": delta_p}
+             for label, d in zip(labels, diams) if d > delta_p),
+            None,
+        )
         ok = witness is None
         _write_text(
             args.out,
@@ -385,76 +383,34 @@ def _cmd_verify(args) -> int:
 # --- subcommand: pipeline ---
 
 
-@dataclass
-class PipelineConfig:
-    """Resolved pipeline parameters; exactly one of rho/epsilon was given."""
-
-    input: str | None
-    family: str | None
-    n: int | None
-    rows: int | None
-    cols: int | None
-    weights: str
-    delta: float
-    rho: float
-    beta: float | None
-    gamma: float | None
-    gamma_target: float | None
-    gamma_retries: int
-    seed: int
-    trials: int
-    verify: str
-    out: str
-
-    @classmethod
-    def from_args(cls, args) -> "PipelineConfig":
-        return cls(
-            input=args.input,
-            family=getattr(args, "family", None),
-            n=getattr(args, "n", None),
-            rows=getattr(args, "rows", None),
-            cols=getattr(args, "cols", None),
-            weights=getattr(args, "weights", "unit"),
-            delta=args.delta,
-            rho=_resolve_rho(args),
-            beta=args.beta,
-            gamma=args.gamma,
-            gamma_target=args.gamma_target,
-            gamma_retries=args.gamma_retries,
-            seed=_root_seed(args),
-            trials=args.trials,
-            verify=args.verify,
-            out=args.out,
-        )
-
-
-def run_pipeline(cfg: PipelineConfig) -> tuple[dict, int]:
+def run_pipeline(args) -> tuple[dict, int]:
+    """Run the stage chain for the parsed ``pipeline`` arguments; returns (report, exit code)."""
     timings: dict[str, float] = {}
-    seed = cfg.seed
-    rho = cfg.rho
-    level = cfg.verify
+    seed = _root_seed(args)
+    rho = _resolve_rho(args)
+    level = args.verify
 
     t0 = time.perf_counter()
-    if cfg.input is not None:
-        g = _read_graph(cfg.input)
+    if args.input is not None:
+        g = _read_graph(args.input)
     else:
         spec = FamilySpec(
-            family=cfg.family, n=cfg.n, rows=cfg.rows, cols=cfg.cols,
-            weights=cfg.weights, seed=seed,
+            family=args.family, n=args.n, rows=args.rows, cols=args.cols,
+            weights=args.weights, seed=seed,
         )
         g = generate(spec)
     timings["load"] = time.perf_counter() - t0
 
-    delta = cfg.delta
+    delta = args.delta
     t0 = time.perf_counter()
     trees, views, merged, _covers = _build_cover_for_graph(
-        g, delta, rho, seed, gamma_target=cfg.gamma_target, gamma_retries=cfg.gamma_retries
+        g, delta, rho, seed, gamma_target=args.gamma_target, gamma_retries=args.gamma_retries
     )
     timings["decompose_and_cover"] = time.perf_counter() - t0
 
     pad_radius = rho * delta
     diam_bound = (4.0 + 8.0 * rho) * delta
-    beta = cfg.beta if cfg.beta is not None else diam_bound / pad_radius
+    beta = args.beta if args.beta is not None else diam_bound / pad_radius
 
     checks: dict[str, bool] = {}
     stats: dict = {
@@ -510,21 +466,17 @@ def run_pipeline(cfg: PipelineConfig) -> tuple[dict, int]:
         g, merged, beta, diam_bound, seed=_derive_int(seed, "padded-sample"),
         boundary=boundary, membership=membership,
     )
-    sample_diams = []
-    for label in np.unique(pp.assignment):
-        ids = np.flatnonzero(pp.assignment == label)
-        sample_diams.append(weak_diameter(g, ids))
-    stats["sampled_partition_max_diam"] = max(sample_diams) if sample_diams else 0.0
+    stats["sampled_partition_max_diam"] = max(_part_diameters(g, pp.assignment)[1])
     if level in ("structural", "full"):
         checks["padded_diameter"] = stats["sampled_partition_max_diam"] <= diam_bound
         checks["padded_membership"] = bool(membership[pp.assignment, np.arange(g.vertex_count)].all())
     timings["sample_padded"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if level == "full" and cfg.trials > 0:
-        gamma = cfg.gamma if cfg.gamma is not None else 1.0 / (4.0 * beta)
+    if level == "full" and args.trials > 0:
+        gamma = args.gamma if args.gamma is not None else 1.0 / (4.0 * beta)
         est = estimate_padding(
-            g, merged, beta, diam_bound, gamma, cfg.trials, _derive_int(seed, "padded-mc"),
+            g, merged, beta, diam_bound, gamma, args.trials, _derive_int(seed, "padded-mc"),
             boundary=boundary, membership=membership,
         )
         stats["min_pad_prob"] = est.min_prob
@@ -537,14 +489,14 @@ def run_pipeline(cfg: PipelineConfig) -> tuple[dict, int]:
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": {
-            "input": cfg.input,
-            "family": cfg.family,
+            "input": args.input,
+            "family": args.family,
             "delta": delta,
             "rho": rho,
             "beta": beta,
             "seed": seed,
-            "trials": cfg.trials,
-            "gamma": cfg.gamma,
+            "trials": args.trials,
+            "gamma": args.gamma,
             "verify": level,
             "backend": _kernels.get_backend(),
         },
@@ -561,92 +513,9 @@ def run_pipeline(cfg: PipelineConfig) -> tuple[dict, int]:
 
 
 def _cmd_pipeline(args) -> int:
-    report, code = run_pipeline(PipelineConfig.from_args(args))
+    report, code = run_pipeline(args)
     _write_text(args.out, _dump_json(report))
     return code
-
-
-# --- subcommand: bench ---
-
-
-def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    deltas = [float(d) for d in args.deltas.split(",")]
-    rhos = [float(r) for r in args.rhos.split(",")]
-    backends = [_kernels.get_backend()]
-    if args.compare_backends:
-        backends = ["numba", "numpy"] if _kernels.have_numba() else ["numpy"]
-    seed = _root_seed(args)
-
-    rows = []
-    for n in sizes:
-        side = max(2, int(round(math.sqrt(n))))
-        spec = FamilySpec(family=args.family, n=n, rows=side, cols=side, seed=seed)
-        g = generate(spec)
-        for delta in deltas:
-            for rho in rhos:
-                for backend in backends:
-                    prev = _kernels.set_backend(backend)
-                    try:
-                        t0 = time.perf_counter()
-                        trees, views, merged, _ = _build_cover_for_graph(g, delta, rho, seed)
-                        t_cover = time.perf_counter() - t0
-                        t0 = time.perf_counter()
-                        boundary = boundary_distances(g, merged)
-                        t_boundary = time.perf_counter() - t0
-                        beta = (4.0 + 8.0 * rho) / rho
-                        t0 = time.perf_counter()
-                        sample_padded(
-                            g, merged, beta, (4.0 + 8.0 * rho) * delta,
-                            seed=_derive_int(seed, "bench"), boundary=boundary,
-                        )
-                        t_sample = time.perf_counter() - t0
-                    finally:
-                        _kernels.set_backend(prev)
-                    rows.append(
-                        {
-                            "family": args.family,
-                            "n": g.vertex_count,
-                            "m": g.edge_count,
-                            "delta": delta,
-                            "rho": rho,
-                            "backend": backend,
-                            "t_decompose_cover": f"{t_cover:.6f}",
-                            "t_boundary": f"{t_boundary:.6f}",
-                            "t_sample": f"{t_sample:.6f}",
-                            "clusters": len(merged.clusters),
-                            "s": merged.sparsity(g.vertex_count),
-                            "w": max(max(len(b) for b in t.bags) for t in trees),
-                            "class_count": len(merged.color_classes or []),
-                        }
-                    )
-    fieldnames = list(rows[0].keys()) if rows else []
-    if args.out == "-":
-        writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
-    else:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            writer.writerows(rows)
-    return EXIT_OK
-
-
-# --- hidden subcommand: oracle ---
-
-
-def _cmd_oracle(args) -> int:
-    g = _read_graph(args.input)
-    if args.kind == "apsp":
-        d = apsp_bruteforce(g)
-        _write_text(args.out, _dump_json({"matrix": d}))
-        return EXIT_OK
-    if args.kind == "minor":
-        found = minor_search(g, args.target)
-        _write_text(args.out, _dump_json({"target_clique": args.target, "is_minor": found}))
-        return EXIT_OK
-    raise StructuralError(f"unknown oracle kind {args.kind!r}")
 
 
 # --- parser ---
@@ -657,11 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="minor-decomp",
         description="partition trees, sparse covers, and padded decompositions",
     )
-    # the oracle subcommand stays callable but out of the usage line
     sub = parser.add_subparsers(
         dest="command",
         required=True,
-        metavar="{generate,decompose,separate,cover,padded,verify,pipeline,bench}",
+        metavar="{generate,decompose,separate,cover,padded,verify,pipeline}",
     )
 
     p = sub.add_parser("generate", help="write a test-family graph as an edge list")
@@ -741,23 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", choices=["off", "structural", "full"], default="structural")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_pipeline)
-
-    p = sub.add_parser("bench", help="sweep (n, delta, rho) and emit CSV timings")
-    p.add_argument("--family", choices=FAMILIES, default="grid")
-    p.add_argument("--sizes", default="16,64,256")
-    p.add_argument("--deltas", default="2")
-    p.add_argument("--rhos", default="1")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--compare-backends", action="store_true")
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser("oracle")  # debugging helper, intentionally undocumented
-    p.add_argument("--kind", required=True, choices=["apsp", "minor"])
-    p.add_argument("--input", default="-")
-    p.add_argument("--target", type=int, default=5)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=_cmd_oracle)
 
     return parser
 

@@ -227,20 +227,34 @@ def weak_diameter(g: WeightedGraph, cluster) -> float:
     ids = mask_to_ids(as_mask(g.vertex_count, cluster))
     if ids.size == 0:
         raise StructuralError("cluster must be nonempty")
-    if ids.size == 1:
-        return 0.0
+    return weak_diameters(g, [ids])[0]
+
+
+def weak_diameters(g: WeightedGraph, groups: Sequence[np.ndarray]) -> list[float]:
+    """Weak diameter of each group of vertex ids (0.0 for an empty group or a singleton).
+
+    One full-graph sweep per distinct vertex of the groups with two or more
+    members serves every group holding it; a vertex whose groups all
+    already measure +inf is not swept.
+    """
+    held: dict[int, list[int]] = {}
+    for i, ids in enumerate(groups):
+        if len(ids) >= 2:
+            for u in np.asarray(ids).tolist():
+                held.setdefault(u, []).append(i)
+    diam = [0.0] * len(groups)
     rmask = full_mask(g.vertex_count)
-    best = 0.0
-    for u in ids:
+    for u, owners in held.items():
+        if all(diam[i] == np.inf for i in owners):
+            continue
         dist = multisource_dijkstra(
             g.indptr, g.indices, g.weights, np.array([u], dtype=np.int64), rmask, np.inf
         )
-        d = dist[ids].max()
-        if d > best:
-            best = float(d)
-        if best == np.inf:
-            break
-    return best
+        for i in owners:
+            d = float(dist[groups[i]].max())
+            if d > diam[i]:
+                diam[i] = d
+    return diam
 
 
 def connected_components(g: WeightedGraph, restrict=None) -> list[np.ndarray]:

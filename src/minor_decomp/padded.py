@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from ._kernels import multisource_dijkstra
 from .graph_core import StructuralError, WeightedGraph, full_mask, incident_edges
@@ -217,7 +217,8 @@ def _binomial_lcb(successes: np.ndarray, trials: int, confidence: float = 0.99) 
     k = np.asarray(successes, dtype=np.float64)
     lcb = np.zeros_like(k)
     pos = k > 0
-    lcb[pos] = beta_dist.ppf(1.0 - confidence, k[pos], trials - k[pos] + 1)
+    # the (1 - confidence)-quantile of Beta(k, trials - k + 1)
+    lcb[pos] = betaincinv(k[pos], trials - k[pos] + 1, 1.0 - confidence)
     return lcb
 
 

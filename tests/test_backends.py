@@ -9,14 +9,8 @@ import numpy as np
 import pytest
 
 from minor_decomp import _kernels
-from minor_decomp.cop_builder import CopConfig, build_cop_decomposition
-from minor_decomp.graph_core import full_mask
-from minor_decomp.padded import sample_padded
-from minor_decomp.partition_tree import tree_to_json
-from minor_decomp.separator import subtree_view
-from minor_decomp.sparse_cover import cover
 
-from util import grid_graph, random_graph
+from util import random_graph
 
 needs_numba = pytest.mark.skipif(not _kernels.have_numba(), reason="numba unavailable")
 
@@ -42,33 +36,46 @@ def test_kernel_agreement_restrict_and_cutoff():
         assert np.array_equal(a, b)
 
 
+# builds a tree, a cover and a sample on a 6x6 grid and prints them as JSON;
+# unit weights make every distance an integer, so both backends must print
+# the same thing
+PIPELINE_SNIPPET = """
+import json
+from minor_decomp.cop_builder import CopConfig, build_cop_decomposition
+from minor_decomp.graph_core import full_mask
+from minor_decomp.padded import sample_padded
+from minor_decomp.partition_tree import tree_to_json
+from minor_decomp.separator import subtree_view
+from minor_decomp.sparse_cover import cover
+from util import grid_graph
+
+g = grid_graph(6, 6)
+tree = build_cop_decomposition(g, CopConfig(delta=2.0, seed=7))
+c = cover(subtree_view(tree, g), full_mask(36), rho=1.0, delta=2.0)
+pp = sample_padded(g, c, 12.0, 24.0, seed=3)
+print(json.dumps([
+    tree_to_json(tree),
+    [list(cl.key) for cl in c.clusters],
+    [cl.vertices.tolist() for cl in c.clusters],
+    pp.assignment.tolist(),
+]))
+"""
+
+
 @needs_numba
 def test_pipeline_outputs_identical_across_backends():
-    # unit weights make every distance an integer, so the two backends
-    # produce identical trees, covers, and assignments
-    g = grid_graph(6, 6)
-    results = {}
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+    path = os.pathsep.join(p for p in (src_dir, tests_dir, os.environ.get("PYTHONPATH")) if p)
+    outputs = {}
     for backend in ("numba", "numpy"):
-        prev = _kernels.set_backend(backend)
-        try:
-            tree = build_cop_decomposition(g, CopConfig(delta=2.0, seed=7))
-            view = subtree_view(tree, g)
-            c = cover(view, full_mask(36), rho=1.0, delta=2.0)
-            pp = sample_padded(g, c, 12.0, 24.0, seed=3)
-            results[backend] = (
-                tree_to_json(tree),
-                [cl.key for cl in c.clusters],
-                [cl.vertices.tolist() for cl in c.clusters],
-                pp.assignment.tolist(),
-            )
-        finally:
-            _kernels.set_backend(prev)
-    assert results["numba"] == results["numpy"]
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        _kernels.set_backend("fortran")
+        env = dict(os.environ, MINOR_DECOMP_BACKEND=backend, PYTHONPATH=path)
+        res = subprocess.run(
+            [sys.executable, "-c", PIPELINE_SNIPPET], capture_output=True, text=True, env=env
+        )
+        assert res.returncode == 0, res.stderr
+        outputs[backend] = json.loads(res.stdout)
+    assert outputs["numba"] == outputs["numpy"]
 
 
 def test_env_flag_selects_numpy():

@@ -109,6 +109,29 @@ class TestCoverPadded:
         obj = json.loads(res.stdout)
         assert obj["params"]["rho"] == 1.0  # rho = 4 / epsilon
 
+    @pytest.mark.parametrize("labels", [4, 17])
+    def test_verify_padded_rejects_wrong_length(self, tmp_path, labels):
+        g = tmp_path / "g4.el"
+        run_cli("generate", "--family", "grid", "--rows", "4", "--cols", "4", "--out", str(g))
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({"partition": list(range(labels)), "params": {"delta": 1.0}}))
+        res = run_cli("verify", "--kind", "padded", "--graph", str(g), "--input", str(part))
+        assert res.returncode == 3
+        assert f"{labels} labels" in res.stderr and "16 vertices" in res.stderr
+
+    def test_verify_padded_reports_true_max_diam(self, grid_file, tmp_path):
+        # on the 5x5 grid, part 0 = {0, 2} (diameter 2) is the first to break
+        # the bound and part 4 = {4, 24} (diameter 4) is the widest
+        labels = list(range(25))
+        labels[2], labels[24] = 0, 4
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({"partition": labels, "params": {"delta": 1.0}}))
+        res = run_cli("verify", "--kind", "padded", "--graph", str(grid_file), "--input", str(part))
+        assert res.returncode == 1
+        rep = json.loads(res.stdout)
+        assert rep["witness"] == {"cluster": 0, "diameter": 2.0, "bound": 1.0}
+        assert rep["max_diam"] == 4.0
+
     def test_corrupted_cover_fails_verify(self, grid_file, tmp_path):
         cov = tmp_path / "cover.json"
         run_cli("cover", "--input", str(grid_file), "--delta", "2", "--rho", "1",
@@ -196,20 +219,9 @@ class TestPipeline:
         assert rep["graph"]["components"] == 2
 
 
-class TestBench:
-    def test_csv_output(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        res = run_cli("bench", "--sizes", "9,16", "--deltas", "2", "--rhos", "1",
-                      "--seed", "1", "--out", str(out))
-        assert res.returncode == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("family,")
-        assert len(lines) == 3
-
-    def test_compare_backends(self):
-        res = run_cli("bench", "--sizes", "9", "--deltas", "2", "--rhos", "1",
-                      "--seed", "1", "--compare-backends")
-        assert res.returncode == 0
-        body = res.stdout.strip().splitlines()
-        backends = {line.split(",")[5] for line in body[1:]}
-        assert "numpy" in backends
+class TestRemovedSubcommands:
+    @pytest.mark.parametrize("command", ["bench", "oracle"])
+    def test_usage_error(self, command):
+        res = run_cli(command, "--help")
+        assert res.returncode == 2
+        assert "invalid choice" in res.stderr

@@ -13,6 +13,7 @@ from minor_decomp.graph_core import (
     mask_to_ids,
     shortest_paths,
     weak_diameter,
+    weak_diameters,
 )
 from minor_decomp.oracles import apsp_bruteforce
 
@@ -187,6 +188,64 @@ class TestWeakDiameter:
     def test_disconnected_is_inf(self):
         g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         assert weak_diameter(g, [0, 3]) == np.inf
+
+
+class TestWeakDiameters:
+    @staticmethod
+    def _by_definition(g, ids):
+        """Max over the rows of single-source sweeps from each member."""
+        return max((float(shortest_paths(g, [u])[ids].max()) for u in ids), default=0.0)
+
+    @staticmethod
+    def _float_graph(n, p, rng, components=1):
+        """Random graph with weights in [0.1, 3), some set to 0.
+
+        With ``components`` > 1 it is that many disjoint random paths.
+        """
+        cuts = np.sort(rng.choice(np.arange(1, n), size=components - 1, replace=False))
+        edges = set()
+        for part in np.split(rng.permutation(n), cuts):
+            edges |= {(min(a, b), max(a, b)) for a, b in zip(part[:-1].tolist(), part[1:].tolist())}
+        if components == 1:
+            edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+        weights = [0.0 if rng.random() < 0.15 else float(rng.uniform(0.1, 3.0)) for _ in edges]
+        return WeightedGraph(n, [(u, v, w) for (u, v), w in zip(sorted(edges), weights)])
+
+    def test_equals_definition_on_random_graphs(self):
+        rng = np.random.default_rng(12)
+        for trial in range(30):
+            n = int(rng.integers(2, 30))
+            components = 1 if trial % 3 else int(rng.integers(1, min(n, 4) + 1))
+            g = self._float_graph(n, 0.15, rng, components)
+            groups = [np.arange(n), np.array([int(rng.integers(n))]), np.zeros(0, dtype=np.int64)]
+            for _ in range(6):
+                size = int(rng.integers(1, n + 1))
+                groups.append(np.sort(rng.choice(n, size=size, replace=False)))
+            got = weak_diameters(g, groups)
+            assert got == [self._by_definition(g, ids) for ids in groups]
+            if components > 1:
+                assert got[0] == np.inf
+
+    def test_empty_group_and_singleton_are_zero(self):
+        g = path_graph(4)
+        assert weak_diameters(g, [[], [2], [0, 3]]) == [0.0, 0.0, 3.0]
+
+    def test_one_sweep_per_distinct_vertex(self, monkeypatch):
+        import minor_decomp.graph_core as gc
+
+        swept = []
+        kernel = gc.multisource_dijkstra
+
+        def counted(indptr, indices, weights, sources, restrict, cutoff=np.inf, backend=None):
+            swept.extend(sources.tolist())
+            return kernel(indptr, indices, weights, sources, restrict, cutoff, backend)
+
+        monkeypatch.setattr(gc, "multisource_dijkstra", counted)
+        g = grid_graph(4, 4)
+        # overlapping groups; vertex 15 only in a singleton, so never swept
+        groups = [[0, 1, 2, 5], [1, 2, 6], [2, 5, 6, 9], [15]]
+        assert weak_diameters(g, groups) == [2.0, 2.0, 3.0, 0.0]
+        assert sorted(swept) == [0, 1, 2, 5, 6, 9]
 
 
 class TestComponents:

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -286,3 +288,32 @@ class TestEstimatePadding:
         assert est.margin_violations == 0
         assert est.membership_violations == 0
         assert est.min_lcb >= est.bound
+
+
+class TestBinomialLcb:
+    def test_equals_beta_quantile_bit_for_bit(self):
+        from scipy.stats import beta as beta_dist
+
+        for trials in range(1, 401):
+            k = np.arange(1, trials + 1, dtype=np.float64)
+            got = padded_mod._binomial_lcb(k, trials)
+            # the same quantile the library forms, 1 - 0.99 (not the literal 0.01)
+            expect = beta_dist.ppf(1.0 - 0.99, k, trials - k + 1)
+            assert got.tobytes() == expect.tobytes(), trials
+
+    def test_no_success_gives_zero(self):
+        assert padded_mod._binomial_lcb(np.array([0, 0]), 50).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("trials", [1, 2, 7, 50, 400, 10000])
+    def test_all_successes_give_closed_form(self, trials):
+        # P(all trials succeed) = p**trials, so the 99% bound solves p**trials = 0.01
+        got = float(padded_mod._binomial_lcb(np.array([trials]), trials)[0])
+        assert got == pytest.approx(0.01 ** (1.0 / trials), rel=1e-12)
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        res = subprocess.run(
+            [sys.executable, "-c", "import sys, minor_decomp; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"

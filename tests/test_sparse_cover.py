@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from minor_decomp.cop_builder import CopConfig, build_cop_decomposition
-from minor_decomp.graph_core import StructuralError, full_mask
+from minor_decomp.graph_core import StructuralError, WeightedGraph, full_mask, shortest_paths
 from minor_decomp.partition_tree import verify_buffered
 from minor_decomp.separator import subtree_view
 from minor_decomp.sparse_cover import (
@@ -145,6 +145,23 @@ class TestColorClasses:
 
 
 class TestVerifyCover:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_per_cluster_diam_equals_definition_on_grid_cover(self, weighted):
+        g = grid_graph(6, 6)
+        if weighted:
+            rng = np.random.default_rng(4)
+            g = WeightedGraph(36, [(u, v, float(rng.uniform(0.1, 3.0))) for u, v, _ in g.edges()])
+        tree = build_cop_decomposition(g, CopConfig(delta=2.0, seed=7))
+        c = cover(subtree_view(tree, g), full_mask(36), rho=1.0, delta=2.0)
+        rep = verify_cover(c, g, full_mask(36), pad_radius=2.0, diam_bound=12.0)
+        expect = [
+            max(float(shortest_paths(g, [u])[cl.vertices].max()) for u in cl.vertices)
+            for cl in c.clusters
+        ]
+        assert len(c.clusters) > 1
+        assert rep.per_cluster_diam == expect
+        assert rep.max_diam == max(expect)
+
     def test_whole_universe_cluster(self):
         g = path_graph(3)
         c = Cover(clusters=[make_cluster([0, 1, 2])], rho=1.0, delta=2.0)
