@@ -1,11 +1,15 @@
 """Shortest-path kernels shared by every module in the package.
 
-All distance queries in the library reduce to one primitive: multi-source
-Dijkstra on a CSR adjacency restricted to a vertex mask, with an optional
-distance cutoff.  Induced subgraphs are always expressed through the
-``restrict`` mask and never copied, so this kernel is the hot inner loop of
-the whole pipeline (domain distances, buffer verification, cluster growth,
-boundary distances, diameter sweeps all funnel through it).
+Every restricted distance query in the library reduces to one primitive:
+multi-source Dijkstra on a CSR adjacency restricted to a vertex mask, with
+an optional distance cutoff.  Induced subgraphs are always expressed
+through the ``restrict`` mask and never copied, so this kernel is the hot
+inner loop of the construction (domain distances, buffer verification,
+cluster growth and boundary distances all funnel through it).  Questions
+asked from every vertex of the whole graph (weak diameters, the cover's
+padding balls, the Monte Carlo ball lists) do not come here: they read
+blocks of distance rows from ``graph_core.distance_rows``, which calls
+``scipy.sparse.csgraph`` on either backend.
 
 Two interchangeable implementations are provided:
 
@@ -13,10 +17,11 @@ Two interchangeable implementations are provided:
   (default when numba is importable), and
 * a pure numpy/heapq fallback with identical semantics.
 
-The backend is chosen once at import time from the ``MINOR_DECOMP_BACKEND``
-environment variable (``numba`` or ``numpy``); to compare the two, run the
-same command under each value.  ``multisource_dijkstra`` also takes a
-per-call ``backend`` argument, which the kernel-agreement tests use.
+The backend of this kernel is chosen once at import time from the
+``MINOR_DECOMP_BACKEND`` environment variable (``numba`` or ``numpy``); to
+compare the two, run the same command under each value.
+``multisource_dijkstra`` also takes a per-call ``backend`` argument, which
+the kernel-agreement tests use.
 
 Cutoff semantics: every vertex whose true restricted distance is <= cutoff
 gets its exact distance; all other entries are +inf.  Comparisons are exact

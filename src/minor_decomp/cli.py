@@ -301,9 +301,15 @@ def _cmd_cover(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
+def _read_cover(path: str, g: WeightedGraph) -> Cover:
+    c = cover_from_json(_read_text(path))
+    c.check_vertex_ids(g.vertex_count)
+    return c
+
+
 def _cmd_padded(args) -> int:
     g = _read_graph(args.graph)
-    c = cover_from_json(_read_text(args.cover))
+    c = _read_cover(args.cover, g)
     rho, delta_c = c.rho, c.delta
     delta_p = args.delta if args.delta is not None else (4.0 + 8.0 * rho) * delta_c
     beta = args.beta if args.beta is not None else (4.0 + 8.0 * rho) / rho
@@ -350,7 +356,7 @@ def _cmd_verify(args) -> int:
         _write_text(args.out, _dump_json({"kind": "tree", **report.to_json_obj()}))
         return EXIT_OK if report.passed else EXIT_VERIFY
     if args.kind == "cover":
-        c = cover_from_json(_read_text(args.input))
+        c = _read_cover(args.input, g)
         pad_radius = c.rho * c.delta
         diam_bound = (4.0 + 8.0 * c.rho) * c.delta
         report = verify_cover(c, g, full_mask(g.vertex_count), pad_radius, diam_bound)
@@ -482,6 +488,8 @@ def run_pipeline(args) -> tuple[dict, int]:
         stats["min_pad_prob"] = est.min_prob
         stats["pad_bound"] = est.bound
         stats["min_pad_lcb"] = est.min_lcb
+        stats["min_pad_lcb_vertex"] = est.min_lcb_vertex
+        stats["max_ball_size"] = est.max_ball_size
         checks["padding_probability"] = est.passed
     timings["monte_carlo"] = time.perf_counter() - t0
 

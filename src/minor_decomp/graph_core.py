@@ -8,6 +8,11 @@ the same graph thousands of times, so copying would dominate runtime.
 Distances are float64 and all comparisons are exact (closed balls): a
 vertex at distance exactly r belongs to ball(., r).
 
+Restricted sweeps go through the ``_kernels`` Dijkstra.  Questions asked
+from every vertex of the whole graph (weak diameters, padding balls) read
+full-graph distance rows from ``distance_rows`` instead, a block of sources
+per ``scipy.sparse.csgraph.dijkstra`` call.
+
 On-disk format (canonical for the whole package): first line ``n m``,
 then m lines ``u v w`` with 0-based vertex ids and a decimal weight.
 Lines starting with ``#`` are comments.
@@ -18,6 +23,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from ._kernels import multisource_dijkstra
 
@@ -28,6 +35,10 @@ class StructuralError(ValueError):
 
 VertexSet = np.ndarray  # boolean membership mask over 0..n-1
 DistanceMap = np.ndarray  # float64 distances, +inf means unreachable
+
+# float64 entries per block of distance rows (1 MiB): a rows pass holds
+# block x n distances at a time, never n x n
+ROWS_BLOCK_ENTRIES = 1 << 17
 
 
 class WeightedGraph:
@@ -233,28 +244,49 @@ def weak_diameter(g: WeightedGraph, cluster) -> float:
 def weak_diameters(g: WeightedGraph, groups: Sequence[np.ndarray]) -> list[float]:
     """Weak diameter of each group of vertex ids (0.0 for an empty group or a singleton).
 
-    One full-graph sweep per distinct vertex of the groups with two or more
-    members serves every group holding it; a vertex whose groups all
-    already measure +inf is not swept.
+    One distance row per distinct vertex of the groups with two or more
+    members; each group takes the max over its own rows and columns.
     """
-    held: dict[int, list[int]] = {}
-    for i, ids in enumerate(groups):
-        if len(ids) >= 2:
-            for u in np.asarray(ids).tolist():
-                held.setdefault(u, []).append(i)
+    groups = [np.asarray(ids, dtype=np.int64) for ids in groups]
+    big = [i for i, ids in enumerate(groups) if ids.size >= 2]
     diam = [0.0] * len(groups)
-    rmask = full_mask(g.vertex_count)
-    for u, owners in held.items():
-        if all(diam[i] == np.inf for i in owners):
-            continue
-        dist = multisource_dijkstra(
-            g.indptr, g.indices, g.weights, np.array([u], dtype=np.int64), rmask, np.inf
-        )
-        for i in owners:
-            d = float(dist[groups[i]].max())
-            if d > diam[i]:
-                diam[i] = d
+    if not big:
+        return diam
+    sources = np.unique(np.concatenate([groups[i] for i in big]))
+    # each group's rows, as sorted positions in ``sources``
+    rows_of = {i: np.searchsorted(sources, np.unique(groups[i])) for i in big}
+    start = 0
+    for block_ids, rows in distance_rows(g, sources):
+        stop = start + block_ids.size
+        for i, pos in rows_of.items():
+            lo, hi = np.searchsorted(pos, (start, stop))
+            if lo < hi:
+                d = float(rows[np.ix_(pos[lo:hi] - start, groups[i])].max())
+                if d > diam[i]:
+                    diam[i] = d
+        start = stop
     return diam
+
+
+def distance_rows(g: WeightedGraph, sources, cutoff: float = np.inf):
+    """Yield ``(block_ids, rows)``: full-graph distances from ``sources``, a block at a time.
+
+    ``rows[j, v]`` is the distance from ``block_ids[j]`` to ``v``, +inf when
+    it exceeds ``cutoff``; a vertex at distance exactly ``cutoff`` keeps its
+    distance.  Blocks follow the order of ``sources`` and hold at most
+    ``ROWS_BLOCK_ENTRIES // n`` rows.  The values equal a single-source
+    ``multisource_dijkstra`` sweep bit for bit; explicit zero-weight edges
+    stay edges at distance 0.
+    """
+    if cutoff < 0:
+        raise StructuralError("cutoff must be >= 0")
+    n = g.vertex_count
+    sources = np.asarray(sources, dtype=np.int64)
+    csr = csr_matrix((g.weights, g.indices, g.indptr), shape=(n, n))
+    block = max(1, ROWS_BLOCK_ENTRIES // n)
+    for start in range(0, sources.size, block):
+        block_ids = sources[start : start + block]
+        yield block_ids, dijkstra(csr, directed=True, indices=block_ids, limit=cutoff)
 
 
 def connected_components(g: WeightedGraph, restrict=None) -> list[np.ndarray]:

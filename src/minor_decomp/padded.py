@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from ._kernels import multisource_dijkstra
-from .graph_core import StructuralError, WeightedGraph, full_mask, incident_edges
+from .graph_core import StructuralError, WeightedGraph, distance_rows, incident_edges
 from .seeding import derive_rng, derive_seed_sequence
 from .sparse_cover import Cover
 
@@ -186,6 +186,8 @@ class PaddingEstimate:
     per_vertex_lcb: np.ndarray
     min_prob: float
     min_lcb: float
+    min_lcb_vertex: int  # lowest id among the vertices with the least lower bound
+    max_ball_size: int  # vertices in the largest gamma*delta-ball checked; 1 means a vacuous check
     margin_violations: int = 0
     membership_violations: int = 0
     extra: dict = field(default_factory=dict)
@@ -206,6 +208,8 @@ class PaddingEstimate:
             "bound": self.bound,
             "min_pad_prob": self.min_prob,
             "min_lcb": self.min_lcb,
+            "min_lcb_vertex": self.min_lcb_vertex,
+            "max_ball_size": self.max_ball_size,
             "margin_violations": self.margin_violations,
             "membership_violations": self.membership_violations,
             "pass": self.passed,
@@ -225,17 +229,14 @@ def _binomial_lcb(successes: np.ndarray, trials: int, confidence: float = 0.99) 
 def _ball_csr(g: WeightedGraph, radius: float):
     """Closed ball member lists for every vertex, as a flat CSR structure."""
     n = g.vertex_count
-    rmask = full_mask(n)
-    lists = []
-    for v in range(n):
-        dist = multisource_dijkstra(
-            g.indptr, g.indices, g.weights, np.array([v], dtype=np.int64), rmask, radius
-        )
-        lists.append(np.flatnonzero(dist <= radius))
+    counts, lists = [], []
+    for block_ids, rows in distance_rows(g, np.arange(n), radius):
+        row_of, members = np.nonzero(rows <= radius)
+        counts.append(np.bincount(row_of, minlength=block_ids.size))
+        lists.append(members)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([len(l) for l in lists])
-    flat = np.concatenate(lists) if lists else np.zeros(0, dtype=np.int64)
-    return indptr, flat
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return indptr, np.concatenate(lists)
 
 
 def estimate_padding(
@@ -311,6 +312,8 @@ def estimate_padding(
         per_vertex_lcb=lcbs,
         min_prob=float(probs.min()),
         min_lcb=float(lcbs.min()),
+        min_lcb_vertex=int(np.argmin(lcbs)),
+        max_ball_size=int(np.diff(ball_indptr).max()),
         margin_violations=margin_violations,
         membership_violations=membership_violations,
         extra={"sparsity": s},

@@ -30,7 +30,9 @@ import numpy as np
 # not called here any more, but perfbench's tracer wraps the kernel under
 # every module's name for it
 from ._kernels import multisource_dijkstra  # noqa: F401
-from .graph_core import StructuralError, WeightedGraph, as_mask, ball, mask_to_ids, weak_diameters
+# unused here too; perfbench's tracer wraps ball under this module's name
+from .graph_core import ball  # noqa: F401
+from .graph_core import StructuralError, WeightedGraph, as_mask, distance_rows, mask_to_ids, weak_diameters
 from .partition_tree import PartitionTree
 from .separator import (
     SubtreeView,
@@ -66,6 +68,13 @@ class Cover:
         for i, c in enumerate(self.clusters):
             mat[i, c.vertices] = True
         return mat
+
+    def check_vertex_ids(self, n: int) -> None:
+        """Raise StructuralError naming the first cluster that lists a vertex outside 0..n-1."""
+        for i, cl in enumerate(self.clusters):
+            bad = cl.vertices[(cl.vertices < 0) | (cl.vertices >= n)]
+            if bad.size:
+                raise StructuralError(f"cluster {i} lists vertex {int(bad[0])} outside 0..{n - 1}")
 
     def sparsity(self, n: int) -> int:
         """Max over vertices of the number of clusters containing it."""
@@ -233,26 +242,18 @@ class CoverReport:
         }
 
 
-def verify_cover(
-    c: Cover,
-    g: WeightedGraph,
-    universe,
-    pad_radius: float,
-    diam_bound: float,
-    ball_within_universe: bool = False,
-) -> CoverReport:
+def verify_cover(c: Cover, g: WeightedGraph, universe, pad_radius: float, diam_bound: float) -> CoverReport:
     """Exact verification of the three cover conditions.
 
     (1) every cluster weak diameter <= diam_bound; (2) for every universe
-    vertex, some cluster contains its pad_radius-ball (ball taken in the
-    full graph, or within the universe when checking a recursive call);
+    vertex, some cluster contains its pad_radius-ball in the full graph;
     (3) the max per-vertex membership count s, and disjointness of the
     color classes when present.  Failures carry witnesses.
     """
     n = g.vertex_count
     uni_mask = as_mask(n, universe)
 
-    # (1) weak diameters: one sweep per vertex, shared by its clusters
+    # (1) weak diameters: one distance row per vertex, shared by its clusters
     diam = weak_diameters(g, [cl.vertices for cl in c.clusters])
     max_diam = max(diam, default=0.0)
     diam_ok = all(d <= diam_bound for d in diam)
@@ -261,23 +262,18 @@ def verify_cover(
         i = next(i for i, d in enumerate(diam) if d > diam_bound)
         diam_witness = (i, diam[i])
 
-    # (2) padding
+    # (2) padding: the lowest universe vertex whose ball no cluster holding it contains
     mat = c.membership_matrix(n)
-    restrict = uni_mask if ball_within_universe else None
-    padding_ok = True
     padding_witness = None
-    for v in mask_to_ids(uni_mask):
-        v = int(v)
-        bmask = ball(g, [v], pad_radius, restrict=restrict)
-        hit = False
-        for i in np.flatnonzero(mat[:, v]):
-            if not np.any(bmask & ~mat[i]):
-                hit = True
+    for block_ids, rows in distance_rows(g, mask_to_ids(uni_mask), pad_radius):
+        for v, row in zip(block_ids.tolist(), rows):
+            holders = np.flatnonzero(mat[:, v])
+            if not mat[np.ix_(holders, np.flatnonzero(row <= pad_radius))].all(axis=1).any():
+                padding_witness = v
                 break
-        if not hit:
-            padding_ok = False
-            padding_witness = v
+        if padding_witness is not None:
             break
+    padding_ok = padding_witness is None
 
     s = c.sparsity(n)
 

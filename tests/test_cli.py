@@ -119,6 +119,27 @@ class TestCoverPadded:
         assert res.returncode == 3
         assert f"{labels} labels" in res.stderr and "16 vertices" in res.stderr
 
+    @pytest.mark.parametrize("vertex", [16, -1])
+    @pytest.mark.parametrize("command", ["verify", "padded"])
+    def test_out_of_range_cover_vertex_is_malformed_input(self, tmp_path, command, vertex):
+        g = tmp_path / "g4.el"
+        run_cli("generate", "--family", "grid", "--rows", "4", "--cols", "4", "--out", str(g))
+        cov = tmp_path / "cover.json"
+        cov.write_text(json.dumps({
+            "params": {"rho": 1.0, "delta": 2.0},
+            "clusters": [
+                {"X": 0, "Xp": 0, "p": 0, "vertices": list(range(16))},
+                {"X": 0, "Xp": 0, "p": 1, "vertices": [0, 1, vertex]},
+            ],
+        }))
+        if command == "verify":
+            res = run_cli("verify", "--kind", "cover", "--graph", str(g), "--input", str(cov))
+        else:
+            res = run_cli("padded", "--graph", str(g), "--cover", str(cov), "--trials", "5")
+        assert res.returncode == 3
+        assert f"cluster 1 lists vertex {vertex} outside 0..15" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_verify_padded_reports_true_max_diam(self, grid_file, tmp_path):
         # on the 5x5 grid, part 0 = {0, 2} (diameter 2) is the first to break
         # the bound and part 4 = {4, 24} (diameter 4) is the widest
@@ -158,6 +179,9 @@ class TestPipeline:
         rep = json.loads(res.stdout)
         assert rep["verification"]["passed"] is True
         assert rep["stats"]["s"] >= 1
+        # radius 0.5 on unit weights: every ball checked is one vertex
+        assert rep["stats"]["max_ball_size"] == 1
+        assert rep["stats"]["min_pad_lcb_vertex"] == 0
 
     def test_missing_delta_usage_error(self):
         res = run_cli("pipeline", "--rho", "1", stdin="1 0\n")

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minor_decomp._kernels import multisource_dijkstra
 from minor_decomp.graph_core import (
     StructuralError,
     WeightedGraph,
     as_mask,
     ball,
     connected_components,
+    distance_rows,
     full_mask,
     mask_to_ids,
     shortest_paths,
@@ -230,22 +232,112 @@ class TestWeakDiameters:
         g = path_graph(4)
         assert weak_diameters(g, [[], [2], [0, 3]]) == [0.0, 0.0, 3.0]
 
-    def test_one_sweep_per_distinct_vertex(self, monkeypatch):
+    def test_groups_spanning_blocks(self, monkeypatch):
         import minor_decomp.graph_core as gc
 
-        swept = []
-        kernel = gc.multisource_dijkstra
+        rng = np.random.default_rng(5)
+        for trial in range(12):
+            n = int(rng.integers(4, 25))
+            g = self._float_graph(n, 0.2, rng, 1 if trial % 2 else 2)
+            groups = [np.arange(n)] + [
+                np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)) for _ in range(5)
+            ]
+            expect = [self._by_definition(g, ids) for ids in groups]
+            for rows_per_block in (1, 2, 3, n):
+                monkeypatch.setattr(gc, "ROWS_BLOCK_ENTRIES", rows_per_block * n)
+                assert weak_diameters(g, groups) == expect
 
-        def counted(indptr, indices, weights, sources, restrict, cutoff=np.inf, backend=None):
-            swept.extend(sources.tolist())
-            return kernel(indptr, indices, weights, sources, restrict, cutoff, backend)
+    def test_one_row_per_distinct_vertex(self, monkeypatch):
+        import minor_decomp.graph_core as gc
 
-        monkeypatch.setattr(gc, "multisource_dijkstra", counted)
+        requested = []
+        rows = gc.distance_rows
+
+        def counted(g, sources, cutoff=np.inf):
+            requested.extend(np.asarray(sources).tolist())
+            return rows(g, sources, cutoff)
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("multisource_dijkstra called")
+
+        monkeypatch.setattr(gc, "distance_rows", counted)
+        monkeypatch.setattr(gc, "multisource_dijkstra", no_sweep)
         g = grid_graph(4, 4)
-        # overlapping groups; vertex 15 only in a singleton, so never swept
+        # overlapping groups; vertex 15 only in a singleton, so it gets no row
         groups = [[0, 1, 2, 5], [1, 2, 6], [2, 5, 6, 9], [15]]
         assert weak_diameters(g, groups) == [2.0, 2.0, 3.0, 0.0]
-        assert sorted(swept) == [0, 1, 2, 5, 6, 9]
+        assert requested == [0, 1, 2, 5, 6, 9]
+
+
+class TestDistanceRows:
+    """The rows pass against its definition: one kernel sweep per source."""
+
+    @staticmethod
+    def _kernel_rows(g, sources, cutoff=np.inf):
+        rmask = full_mask(g.vertex_count)
+        return [
+            multisource_dijkstra(g.indptr, g.indices, g.weights, np.array([v], dtype=np.int64), rmask, cutoff)
+            for v in sources
+        ]
+
+    def _assert_pinned(self, g, sources, cutoff=np.inf):
+        got_ids, got_rows = [], []
+        for block_ids, rows in distance_rows(g, sources, cutoff):
+            assert rows.shape == (block_ids.size, g.vertex_count)
+            got_ids.extend(block_ids.tolist())
+            got_rows.extend(rows)
+        assert got_ids == list(sources)
+        expect = self._kernel_rows(g, sources, cutoff)
+        assert [r.tobytes() for r in got_rows] == [r.tobytes() for r in expect]
+        return got_rows
+
+    def test_float_and_zero_weights(self):
+        rng = np.random.default_rng(31)
+        zero_edges = 0
+        for _ in range(20):
+            n = int(rng.integers(2, 40))
+            g = TestWeakDiameters._float_graph(n, 0.2, rng)
+            zero_edges += int(np.count_nonzero(g.weights == 0.0))
+            for cutoff in (np.inf, 0.0, 1.0, float(rng.uniform(0.5, 4.0))):
+                self._assert_pinned(g, list(range(n)), cutoff)
+        assert zero_edges > 0
+
+    def test_zero_weight_edge_stays_an_edge(self):
+        g = WeightedGraph(4, [(0, 1, 0.0), (1, 2, 1.5)])
+        rows = self._assert_pinned(g, [0, 1, 2, 3], 0.0)
+        assert rows[0].tolist() == [0.0, 0.0, np.inf, np.inf]
+
+    def test_disconnected_graph(self):
+        rng = np.random.default_rng(8)
+        g = TestWeakDiameters._float_graph(30, 0.0, rng, components=4)
+        for cutoff in (np.inf, 2.0):
+            rows = self._assert_pinned(g, list(range(30)), cutoff)
+            assert all(np.isinf(r).any() for r in rows)
+
+    def test_exact_ties_at_cutoff_stay_in(self):
+        g = grid_graph(6, 6)
+        rows = self._assert_pinned(g, list(range(36)), 2.0)
+        # every vertex has neighbours at distance exactly 2 on the unit grid
+        assert all(np.count_nonzero(r == 2.0) > 0 for r in rows)
+        assert all(np.count_nonzero((r > 2.0) & (r < np.inf)) == 0 for r in rows)
+
+    def test_several_blocks_in_source_order(self, monkeypatch):
+        import minor_decomp.graph_core as gc
+
+        rng = np.random.default_rng(2)
+        g = TestWeakDiameters._float_graph(20, 0.2, rng)
+        sources = [7, 0, 19, 3, 3, 12, 5]
+        monkeypatch.setattr(gc, "ROWS_BLOCK_ENTRIES", 3 * 20)
+        sizes = [block_ids.size for block_ids, _rows in distance_rows(g, sources)]
+        assert sizes == [3, 3, 1]
+        self._assert_pinned(g, sources)
+        self._assert_pinned(g, sources, 1.5)
+
+    def test_empty_sources_and_negative_cutoff(self):
+        g = path_graph(3)
+        assert list(distance_rows(g, [])) == []
+        with pytest.raises(StructuralError):
+            list(distance_rows(g, [0], -1.0))
 
 
 class TestComponents:

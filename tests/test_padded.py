@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from minor_decomp import padded as padded_mod
+from minor_decomp._kernels import multisource_dijkstra
 from minor_decomp.cop_builder import CopConfig, build_cop_decomposition
 from minor_decomp.graph_core import StructuralError, WeightedGraph, full_mask, shortest_paths
 from minor_decomp.oracles import apsp_bruteforce
@@ -288,6 +289,72 @@ class TestEstimatePadding:
         assert est.margin_violations == 0
         assert est.membership_violations == 0
         assert est.min_lcb >= est.bound
+
+
+    def test_report_names_least_lcb_vertex_and_largest_ball(self):
+        g = grid_graph(6, 6)
+        # radius-3 balls around eight centres: no cluster is the whole grid,
+        # so padding frequencies differ between vertices
+        c = make_cover([np.flatnonzero(shortest_paths(g, [v]) <= 3.0) for v in (0, 3, 5, 14, 21, 30, 33, 35)])
+        # radius gamma * delta = 1: a grid ball holds up to 5 vertices
+        est = estimate_padding(g, c, beta=3.0, delta=12.0, gamma=1 / 12, trials=40, seed=21)
+        assert est.max_ball_size == 5
+        v = est.min_lcb_vertex
+        assert est.per_vertex_lcb[v] == est.min_lcb
+        assert np.all(est.per_vertex_lcb[:v] > est.min_lcb)
+        assert v > 0
+        obj = est.to_json_obj()
+        assert (obj["min_lcb_vertex"], obj["max_ball_size"]) == (v, 5)
+        # radius 0.5 on unit weights: single-vertex balls, a vacuous check in
+        # which every vertex is padded and vertex 0 is the lowest tied id
+        est = estimate_padding(g, c, beta=3.0, delta=12.0, gamma=1 / 24, trials=40, seed=21)
+        assert est.max_ball_size == 1
+        assert est.min_prob == 1.0 and est.min_lcb_vertex == 0
+
+
+class TestBallCsr:
+    """The ball lists against their definition: one bounded kernel sweep per vertex."""
+
+    @staticmethod
+    def _by_definition(g, radius):
+        n = g.vertex_count
+        lists = [
+            np.flatnonzero(
+                multisource_dijkstra(
+                    g.indptr, g.indices, g.weights, np.array([v], dtype=np.int64), full_mask(n), radius
+                )
+                <= radius
+            )
+            for v in range(n)
+        ]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum([len(l) for l in lists])
+        return indptr, np.concatenate(lists)
+
+    def _assert_pinned(self, g, radius):
+        got = padded_mod._ball_csr(g, radius)
+        expect = self._by_definition(g, radius)
+        assert [a.dtype for a in got] == [a.dtype for a in expect]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expect]
+
+    @pytest.mark.parametrize("rows_per_block", [1, 4, None])
+    def test_equals_definition(self, monkeypatch, rows_per_block):
+        import minor_decomp.graph_core as gc
+
+        rng = np.random.default_rng(17)
+        # float weights with zeros, a disconnected graph, and a unit grid whose
+        # balls have many vertices exactly on the radius
+        graphs = [
+            WeightedGraph(12, [(i, i + 1, 0.0 if i % 4 == 0 else float(rng.uniform(0.1, 2.0))) for i in range(11)]),
+            WeightedGraph(9, [(0, 1, 0.5), (1, 2, 0.25), (3, 4, 0.0), (5, 6, 1.0), (6, 7, 1.0)]),
+            random_graph(25, 0.15, rng),
+            grid_graph(6, 6),
+        ]
+        for g in graphs:
+            if rows_per_block is not None:
+                monkeypatch.setattr(gc, "ROWS_BLOCK_ENTRIES", rows_per_block * g.vertex_count)
+            for radius in (0.0, 0.5, 1.0, 2.0, 3.5):
+                self._assert_pinned(g, radius)
 
 
 class TestBinomialLcb:

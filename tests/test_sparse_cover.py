@@ -182,16 +182,43 @@ class TestVerifyCover:
         assert not rep.diam_ok
         assert rep.diam_witness == (0, 4.0)
 
-    def test_ball_within_universe_mode(self):
-        # vertex 2 outside the universe: the restricted ball of radius 2
-        # around 0 ends at 1, which {0,1} covers
+    def test_ball_taken_in_full_graph(self):
+        # vertex 2 lies outside the universe, but the radius-2 ball around 0
+        # reaches it through the full graph, and {0, 1} does not hold it
         g = path_graph(3)
         c = Cover(clusters=[make_cluster([0, 1])], rho=1.0, delta=2.0)
-        rep_full = verify_cover(c, g, [0, 1], pad_radius=2.0, diam_bound=2.0)
-        assert not rep_full.padding_ok
-        rep_restricted = verify_cover(c, g, [0, 1], pad_radius=2.0, diam_bound=2.0,
-                                      ball_within_universe=True)
-        assert rep_restricted.padding_ok
+        rep = verify_cover(c, g, [0, 1], pad_radius=2.0, diam_bound=2.0)
+        assert not rep.padding_ok
+        assert rep.padding_witness == 0
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3, 36])
+    def test_padding_witness_equals_definition(self, monkeypatch, rows_per_block):
+        import minor_decomp.graph_core as gc
+
+        monkeypatch.setattr(gc, "ROWS_BLOCK_ENTRIES", rows_per_block * 36)
+        g = grid_graph(6, 6)
+        # radius-2 balls around a few centres, and a singleton per vertex
+        vertex_lists = [np.flatnonzero(shortest_paths(g, [v]) <= 2.0) for v in (0, 14, 21, 35, 8, 27)]
+        vertex_lists += [[v] for v in range(36)]
+        c = Cover(clusters=[make_cluster(ids, key=(0, 0, i)) for i, ids in enumerate(vertex_lists)],
+                  rho=1.0, delta=1.0)
+        mat = c.membership_matrix(36)
+
+        def uncovered(v, radius):
+            # no cluster holding v holds the closed ball around v
+            bmask = shortest_paths(g, [v]) <= radius
+            return not any(not np.any(bmask & ~mat[i]) for i in np.flatnonzero(mat[:, v]))
+
+        witnesses = []
+        for universe in (full_mask(36), np.arange(36) % 2 == 1, np.arange(36) >= 20):
+            # unit weights put many vertices exactly on each radius
+            for radius in (0.0, 1.0, 2.0, 3.0):
+                expect = next((v for v in np.flatnonzero(universe).tolist() if uncovered(v, radius)), None)
+                rep = verify_cover(c, g, universe, pad_radius=radius, diam_bound=12.0)
+                assert rep.padding_witness == expect
+                assert rep.padding_ok == (expect is None)
+                witnesses.append(expect)
+        assert len(set(witnesses)) >= 5
 
 
 class TestJson:
