@@ -315,18 +315,13 @@ def _cmd_padded(args) -> int:
     beta = args.beta if args.beta is not None else (4.0 + 8.0 * rho) / rho
     seed = _root_seed(args)
     boundary = boundary_distances(g, c)
-    membership = c.membership_matrix(g.vertex_count)
-    pp = sample_padded(
-        g, c, beta, delta_p, seed=_derive_int(seed, "padded-sample"),
-        boundary=boundary, membership=membership,
-    )
+    pp = sample_padded(g, c, beta, delta_p, seed=_derive_int(seed, "padded-sample"), boundary=boundary)
     stats = {}
     ok = True
     if args.trials > 0:
         gamma = args.gamma if args.gamma is not None else 1.0 / (4.0 * beta)
         est = estimate_padding(
-            g, c, beta, delta_p, gamma, args.trials, _derive_int(seed, "padded-mc"),
-            boundary=boundary, membership=membership,
+            g, c, beta, delta_p, gamma, args.trials, _derive_int(seed, "padded-mc"), boundary=boundary
         )
         stats = est.to_json_obj()
         ok = est.passed
@@ -464,26 +459,20 @@ def run_pipeline(args) -> tuple[dict, int]:
     timings["verify_cover"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # one boundary and one membership matrix serve the sample, its check and
-    # the Monte Carlo estimate
+    # one prepared cover serves the sample, its check and the Monte Carlo estimate
     boundary = boundary_distances(g, merged)
-    membership = merged.membership_matrix(g.vertex_count)
-    pp = sample_padded(
-        g, merged, beta, diam_bound, seed=_derive_int(seed, "padded-sample"),
-        boundary=boundary, membership=membership,
-    )
+    pp = sample_padded(g, merged, beta, diam_bound, seed=_derive_int(seed, "padded-sample"), boundary=boundary)
     stats["sampled_partition_max_diam"] = max(_part_diameters(g, pp.assignment)[1])
     if level in ("structural", "full"):
         checks["padded_diameter"] = stats["sampled_partition_max_diam"] <= diam_bound
-        checks["padded_membership"] = bool(membership[pp.assignment, np.arange(g.vertex_count)].all())
+        checks["padded_membership"] = bool(boundary.contains(pp.assignment).all())
     timings["sample_padded"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if level == "full" and args.trials > 0:
         gamma = args.gamma if args.gamma is not None else 1.0 / (4.0 * beta)
         est = estimate_padding(
-            g, merged, beta, diam_bound, gamma, args.trials, _derive_int(seed, "padded-mc"),
-            boundary=boundary, membership=membership,
+            g, merged, beta, diam_bound, gamma, args.trials, _derive_int(seed, "padded-mc"), boundary=boundary
         )
         stats["min_pad_prob"] = est.min_prob
         stats["pad_bound"] = est.bound

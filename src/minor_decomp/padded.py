@@ -8,15 +8,20 @@ cluster (containing it) that maximizes the potential
     f_C(v) = shift_C * (delta / beta) + boundary_C(v),
 
 where boundary_C(v) is the full-graph distance from v to the complement of
-C (zero outside C, +inf when C is the whole vertex set).  It is read only
-for v in C, and a shortest path from there leaves C by its last edge, so
-each cluster is swept from its rim (the outside vertices adjacent to it)
-within C plus the rim: the sweeps cost the clusters, not one graph sweep
-per cluster.  The resulting partition refines the cover (each part is a
-subset of its cluster), hence is delta-bounded, and a ball of radius
-gamma * delta stays in one part with probability at least
-exp(-4 * beta * gamma * lambda), where lambda = 2 + 2 ln s and s is the
-cover's measured sparsity.
+C (+inf when C is the whole vertex set).  It is read only for v in C, and
+a shortest path from there leaves C by its last edge, so each cluster is
+swept from its rim (the outside vertices adjacent to it) within C plus the
+rim: the sweeps cost the clusters, not one graph sweep per cluster.
+
+``boundary_distances`` prepares the cover for sampling as a vertex-major
+entry list: for each vertex, its clusters in ascending id with their
+boundary distances.  A draw then costs the cover's entries (sum of |C|),
+not clusters x vertices: one potential per entry, the best per vertex,
+and the lowest cluster id attaining it.  The resulting partition refines
+the cover (each part is a subset of its cluster), hence is delta-bounded,
+and a ball of radius gamma * delta stays in one part with probability at
+least exp(-4 * beta * gamma * lambda), where lambda = 2 + 2 ln s and s is
+the cover's measured sparsity.
 
 ``estimate_padding`` is the Monte Carlo harness certifying that last
 guarantee: it draws independent partitions, tracks per-vertex containment
@@ -81,9 +86,33 @@ class TexpSampler:
 
 @dataclass
 class BoundaryDistances:
-    """Per (cluster, vertex): full-graph distance to the cluster complement."""
+    """A cover prepared for sampling: vertex-major (cluster, boundary distance) entries.
 
-    matrix: np.ndarray  # (num_clusters, n) float64
+    Vertex v's entries are ``indptr[v]:indptr[v + 1]``: the ids of the
+    clusters containing v, ascending, in ``cluster``, and v's full-graph
+    distance to each one's complement in ``value``.
+    """
+
+    indptr: np.ndarray  # (n + 1,) int64
+    cluster: np.ndarray  # (entries,) int64
+    value: np.ndarray  # (entries,) float64
+    num_clusters: int
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (num_clusters, n) view, zero outside each cluster; built on demand."""
+        n = self.indptr.size - 1
+        mat = np.zeros((self.num_clusters, n), dtype=np.float64)
+        mat[self.cluster, np.repeat(np.arange(n), np.diff(self.indptr))] = self.value
+        return mat
+
+    def contains(self, assignment: np.ndarray) -> np.ndarray:
+        """Per vertex v: whether cluster ``assignment[v]`` is one of v's clusters.
+
+        Every vertex must have an entry (a covering cover).
+        """
+        hit = self.cluster == np.repeat(assignment, np.diff(self.indptr))
+        return np.logical_or.reduceat(hit, self.indptr[:-1])
 
 
 def boundary_distances(g: WeightedGraph, c: Cover) -> BoundaryDistances:
@@ -94,20 +123,33 @@ def boundary_distances(g: WeightedGraph, c: Cover) -> BoundaryDistances:
     to C.  So each cluster is swept from its rim, restricted to C plus the
     rim.  This forms the same sums as a full-graph sweep from the
     complement, so the values are equal bit for bit, at the cost of the
-    cluster.  Entries outside C are 0; C's entries stay +inf when the rim
-    is empty (C = V, or C a union of whole components).
+    cluster.  C's entries stay +inf when the rim is empty (C = V, or C a
+    union of whole components).  The entries, gathered cluster by cluster,
+    are put in vertex order by one stable sort, which keeps each vertex's
+    clusters ascending.
     """
     n = g.vertex_count
-    mat = np.zeros((len(c.clusters), n), dtype=np.float64)
-    for i, cl in enumerate(c.clusters):
+    # the leading empty array keeps an empty cover's concatenation defined
+    vertex = np.concatenate([np.zeros(0, dtype=np.int64)] + [cl.vertices for cl in c.clusters])
+    sizes = [cl.vertices.size for cl in c.clusters]
+    cluster = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    value = np.empty(vertex.size, dtype=np.float64)
+    start = 0
+    for cl in c.clusters:
         restrict = np.zeros(n, dtype=np.bool_)
         restrict[cl.vertices] = True
         nbrs = g.indices[incident_edges(g, cl.vertices)]
         rim = np.unique(nbrs[~restrict[nbrs]])
         restrict[rim] = True
         dist = multisource_dijkstra(g.indptr, g.indices, g.weights, rim, restrict, np.inf)
-        mat[i, cl.vertices] = dist[cl.vertices]
-    return BoundaryDistances(matrix=mat)
+        value[start : start + cl.vertices.size] = dist[cl.vertices]
+        start += cl.vertices.size
+    order = np.argsort(vertex, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(vertex, minlength=n), out=indptr[1:])
+    return BoundaryDistances(
+        indptr=indptr, cluster=cluster[order], value=value[order], num_clusters=len(c.clusters)
+    )
 
 
 # --- padded partitions ---
@@ -122,24 +164,38 @@ class PaddedPartition:
     lam: float
 
 
-def potential_matrix(shifts: np.ndarray, boundary: BoundaryDistances, beta: float, delta: float) -> np.ndarray:
-    return shifts[:, None] * (delta / beta) + boundary.matrix
-
-
-def _sparsity_lambda(membership: np.ndarray) -> tuple[int, float]:
-    """Sparsity s and lambda = 2 + 2 ln s from one count per vertex.
+def _sparsity_lambda(boundary: BoundaryDistances) -> tuple[int, float]:
+    """Sparsity s and lambda = 2 + 2 ln s from each vertex's entry count.
 
     Raises StructuralError if the cover is empty or some vertex lies in
     no cluster (the cover precondition), naming the lowest such vertex.
     """
-    if membership.shape[0] == 0:
+    if boundary.num_clusters == 0:
         raise StructuralError("cover has no clusters")
-    counts = np.count_nonzero(membership, axis=0)
+    counts = np.diff(boundary.indptr)
     if not counts.all():
         v = int(np.argmin(counts))
         raise StructuralError(f"vertex {v} is covered by no cluster")
     s = int(counts.max())
     return s, 2.0 + 2.0 * math.log(max(s, 1))
+
+
+def _draw(boundary: BoundaryDistances, lam: float, beta: float, delta: float, seed: int):
+    """One partition from a covering prepared cover; the only draw path.
+
+    Returns the partition, each entry's potential and each vertex's best
+    potential.  The winner is the lowest cluster id attaining the best, as
+    argmax over a vertex's clusters would pick; a C = V cluster's +inf wins.
+    """
+    sampler = TexpSampler(lam, rng=derive_rng(seed, "padded-shifts"))
+    shifts = sampler.sample_many(boundary.num_clusters)
+    pot = boundary.value + shifts[boundary.cluster] * (delta / beta)
+    starts = boundary.indptr[:-1]
+    best = np.maximum.reduceat(pot, starts)
+    on_best = pot == np.repeat(best, np.diff(boundary.indptr))
+    assignment = np.minimum.reduceat(np.where(on_best, boundary.cluster, boundary.num_clusters), starts)
+    pp = PaddedPartition(assignment=assignment, shifts=shifts, beta=beta, delta=delta, lam=lam)
+    return pp, pot, best
 
 
 def sample_padded(
@@ -153,24 +209,16 @@ def sample_padded(
 ) -> PaddedPartition:
     """Draw one padded partition; deterministic given the seed.
 
-    Raises StructuralError if the cover is empty or some vertex lies in no
-    cluster (the cover precondition is violated).  Ties in the potential
-    are broken toward the lowest cluster index.
+    ``boundary``, when given, is ``c`` prepared by ``boundary_distances``.
+    ``membership`` is ignored (the prepared entries say which clusters hold
+    each vertex); it stays accepted for callers that still pass it.  Raises StructuralError if the cover is empty or some
+    vertex lies in no cluster (the cover precondition is violated).  Ties
+    in the potential are broken toward the lowest cluster index.
     """
-    n = g.vertex_count
     if boundary is None:
         boundary = boundary_distances(g, c)
-    if membership is None:
-        membership = c.membership_matrix(n)
-    _, lam = _sparsity_lambda(membership)
-
-    sampler = TexpSampler(lam, rng=derive_rng(seed, "padded-shifts"))
-    shifts = sampler.sample_many(len(c.clusters))
-    # one float matrix per draw: the potential, masked in place
-    f = boundary.matrix + shifts[:, None] * (delta / beta)
-    np.putmask(f, ~membership, -np.inf)
-    assignment = np.argmax(f, axis=0).astype(np.int64)
-    return PaddedPartition(assignment=assignment, shifts=shifts, beta=beta, delta=delta, lam=lam)
+    _, lam = _sparsity_lambda(boundary)
+    return _draw(boundary, lam, beta, delta, seed)[0]
 
 
 # --- Monte Carlo certification ---
@@ -226,6 +274,23 @@ def _binomial_lcb(successes: np.ndarray, trials: int, confidence: float = 0.99) 
     return lcb
 
 
+def _runner_up(boundary: BoundaryDistances, pp: PaddedPartition, pot: np.ndarray) -> np.ndarray:
+    """Per vertex v: the largest potential over all clusters but v's winner, members of v or not.
+
+    A non-member's potential is its shift term plus 0.0, which equals the
+    shift term, and a member's is never below its own shift term.  So the
+    runner-up is the larger of v's best non-winning entry and the best
+    shift term among the clusters other than the winner: the top one, or
+    the second when the winner holds the top.
+    """
+    terms = pp.shifts * (pp.delta / pp.beta)
+    top = int(np.argmax(terms))
+    outside = np.where(pp.assignment == top, np.delete(terms, top).max(initial=-np.inf), terms[top])
+    own = boundary.cluster == np.repeat(pp.assignment, np.diff(boundary.indptr))
+    inside = np.maximum.reduceat(np.where(own, -np.inf, pot), boundary.indptr[:-1])
+    return np.maximum(inside, outside)
+
+
 def _ball_csr(g: WeightedGraph, radius: float):
     """Closed ball member lists for every vertex, as a flat CSR structure."""
     n = g.vertex_count
@@ -252,8 +317,11 @@ def estimate_padding(
 ) -> PaddingEstimate:
     """Empirical padding probabilities over independent sampled partitions.
 
-    The cover ``c`` is fixed; only the shifts resample.  ``boundary`` and
-    ``membership``, when given, are ``c``'s, as in ``sample_padded``.
+    The cover ``c`` is fixed; only the shifts resample.  ``boundary``, when
+    given, is ``c`` prepared by ``boundary_distances``; ``membership`` is
+    ignored, as in ``sample_padded``.  Every trial draws through the same
+    path as ``sample_padded`` and reads only the prepared entries; the
+    margin check's runner-up stays exact over all clusters (``_runner_up``).
     """
     if trials < 1:
         raise StructuralError("trials must be >= 1")
@@ -262,9 +330,7 @@ def estimate_padding(
     n = g.vertex_count
     if boundary is None:
         boundary = boundary_distances(g, c)
-    if membership is None:
-        membership = c.membership_matrix(n)
-    s, lam = _sparsity_lambda(membership)
+    s, lam = _sparsity_lambda(boundary)
     bound = math.exp(-4.0 * beta * gamma * lam)
     r = gamma * delta
     ball_indptr, ball_flat = _ball_csr(g, r)
@@ -272,13 +338,10 @@ def estimate_padding(
     successes = np.zeros(n, dtype=np.int64)
     margin_violations = 0
     membership_violations = 0
-    k = len(c.clusters)
     for t in range(trials):
-        pp = sample_padded(
-            g, c, beta, delta, seed=_trial_seed(seed, t), boundary=boundary, membership=membership
-        )
+        pp, pot, best = _draw(boundary, lam, beta, delta, _trial_seed(seed, t))
         assign = pp.assignment
-        if not membership[assign, np.arange(n)].all():
+        if not boundary.contains(assign).all():
             membership_violations += 1
 
         vals = assign[ball_flat]
@@ -288,16 +351,8 @@ def estimate_padding(
         successes += contained
 
         # sufficient-margin condition: winner ahead by > 2r forces containment
-        f = potential_matrix(pp.shifts, boundary, beta, delta)
-        best = f[assign, np.arange(n)]
-        if k == 1:
-            second = np.full(n, -np.inf)
-        else:
-            tmp = f.copy()
-            tmp[assign, np.arange(n)] = -np.inf
-            second = tmp.max(axis=0)
         with np.errstate(invalid="ignore"):
-            margin = best - second
+            margin = best - _runner_up(boundary, pp, pot)
         forced = margin > 2.0 * r
         margin_violations += int(np.count_nonzero(forced & ~contained))
 

@@ -70,11 +70,15 @@ class Cover:
         return mat
 
     def check_vertex_ids(self, n: int) -> None:
-        """Raise StructuralError naming the first cluster that lists a vertex outside 0..n-1."""
+        """Raise StructuralError naming the first cluster that lists a vertex
+        outside 0..n-1 or lists one vertex twice (its ids are sorted)."""
         for i, cl in enumerate(self.clusters):
             bad = cl.vertices[(cl.vertices < 0) | (cl.vertices >= n)]
             if bad.size:
                 raise StructuralError(f"cluster {i} lists vertex {int(bad[0])} outside 0..{n - 1}")
+            twice = cl.vertices[1:][np.diff(cl.vertices) == 0]
+            if twice.size:
+                raise StructuralError(f"cluster {i} lists vertex {int(twice[0])} twice")
 
     def sparsity(self, n: int) -> int:
         """Max over vertices of the number of clusters containing it."""

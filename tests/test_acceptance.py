@@ -68,13 +68,11 @@ def test_criterion_1_padded_diameter_guarantee():
         g = generate(spec)
         _tree, _view, c = build_cover(g, delta, rho, seed=5)
         boundary = boundary_distances(g, c)
-        membership = c.membership_matrix(g.vertex_count)
         beta = (4.0 + 8.0 * rho) / rho
         delta_p = (4.0 + 8.0 * rho) * delta
         worst = 0.0
         for seed in range(3):
-            pp = sample_padded(g, c, beta, delta_p, seed=seed,
-                               boundary=boundary, membership=membership)
+            pp = sample_padded(g, c, beta, delta_p, seed=seed, boundary=boundary)
             for label in np.unique(pp.assignment):
                 d = weak_diameter(g, np.flatnonzero(pp.assignment == label))
                 worst = max(worst, d)

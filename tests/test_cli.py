@@ -119,9 +119,9 @@ class TestCoverPadded:
         assert res.returncode == 3
         assert f"{labels} labels" in res.stderr and "16 vertices" in res.stderr
 
-    @pytest.mark.parametrize("vertex", [16, -1])
-    @pytest.mark.parametrize("command", ["verify", "padded"])
-    def test_out_of_range_cover_vertex_is_malformed_input(self, tmp_path, command, vertex):
+    @staticmethod
+    def _run_on_cover(tmp_path, command, second_cluster):
+        """Run ``command`` on a 4x4 grid and a cover of V plus ``second_cluster``."""
         g = tmp_path / "g4.el"
         run_cli("generate", "--family", "grid", "--rows", "4", "--cols", "4", "--out", str(g))
         cov = tmp_path / "cover.json"
@@ -129,15 +129,27 @@ class TestCoverPadded:
             "params": {"rho": 1.0, "delta": 2.0},
             "clusters": [
                 {"X": 0, "Xp": 0, "p": 0, "vertices": list(range(16))},
-                {"X": 0, "Xp": 0, "p": 1, "vertices": [0, 1, vertex]},
+                {"X": 0, "Xp": 0, "p": 1, "vertices": second_cluster},
             ],
         }))
         if command == "verify":
-            res = run_cli("verify", "--kind", "cover", "--graph", str(g), "--input", str(cov))
-        else:
-            res = run_cli("padded", "--graph", str(g), "--cover", str(cov), "--trials", "5")
+            return run_cli("verify", "--kind", "cover", "--graph", str(g), "--input", str(cov))
+        return run_cli("padded", "--graph", str(g), "--cover", str(cov), "--trials", "5")
+
+    @pytest.mark.parametrize("vertex", [16, -1])
+    @pytest.mark.parametrize("command", ["verify", "padded"])
+    def test_out_of_range_cover_vertex_is_malformed_input(self, tmp_path, command, vertex):
+        res = self._run_on_cover(tmp_path, command, [0, 1, vertex])
         assert res.returncode == 3
         assert f"cluster 1 lists vertex {vertex} outside 0..15" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("command", ["verify", "padded"])
+    def test_repeated_cover_vertex_is_malformed_input(self, tmp_path, command):
+        # counted twice, vertex 1 would lie in three clusters and change lambda
+        res = self._run_on_cover(tmp_path, command, [1, 0, 1])
+        assert res.returncode == 3
+        assert "cluster 1 lists vertex 1 twice" in res.stderr
         assert "Traceback" not in res.stderr
 
     def test_verify_padded_reports_true_max_diam(self, grid_file, tmp_path):

@@ -33,6 +33,42 @@ def make_cover(cluster_vertex_lists, rho=1.0, delta=1.0):
     return Cover(clusters=clusters, rho=rho, delta=delta)
 
 
+def _sampling_cases():
+    """Covers on float weights in [0.1, 3), a fifth of them zero.
+
+    Singletons, C = V, random subsets, a disconnected graph whose
+    whole-component clusters have an empty rim (+inf), an all-zero-weight
+    graph where every boundary distance is 0, and a one-cluster cover.
+    """
+    rng = np.random.default_rng(23)
+
+    def weights(edges):
+        return [(u, v, 0.0 if rng.random() < 0.2 else w) for u, v, w in edges]
+
+    def subsets(lo, hi, count):
+        return [sorted(int(v) for v in lo + rng.permutation(hi - lo)[: int(rng.integers(1, hi - lo + 1))])
+                for _ in range(count)]
+
+    cases = []
+    for _ in range(6):
+        n = int(rng.integers(2, 30))
+        g = WeightedGraph(n, weights(TestBoundaryDistances._float_weight_graph(n, 0.15, rng)))
+        # singletons cover every vertex; with C = V its +inf wins everywhere
+        singletons = [[v] for v in range(n)]
+        cases.append((g, make_cover(subsets(0, n, 5) + singletons)))
+        cases.append((g, make_cover(subsets(0, n, 3) + [list(range(n))] + singletons[:2])))
+    a, b = 9, 7
+    edges = TestBoundaryDistances._float_weight_graph(a, 0.2, rng)
+    edges += TestBoundaryDistances._float_weight_graph(b, 0.2, rng, offset=a)
+    g = WeightedGraph(a + b, weights(edges))
+    cases.append((g, make_cover([list(range(a))] + subsets(a, a + b, 4) + [[v] for v in range(a, a + b)])))
+    cases.append((g, make_cover([list(range(a)), list(range(a, a + b))] + subsets(0, a + b, 4))))
+    g = WeightedGraph(12, [(i, i + 1, 0.0) for i in range(11)])
+    cases.append((g, make_cover(subsets(0, 12, 6) + [[v] for v in range(12)])))
+    cases.append((g, make_cover([list(range(12))])))
+    return cases
+
+
 class TestTexp:
     def test_inverse_cdf_endpoints(self):
         s = TexpSampler(2.0, seed=0)
@@ -124,6 +160,25 @@ class TestBoundaryDistances:
                     edges.add((u, v))
         return [(int(u), int(v), float(rng.uniform(0.1, 3.0))) for u, v in sorted(edges)]
 
+    @classmethod
+    def _assert_entries_by_definition(cls, g, c):
+        """Each vertex lists exactly its clusters, ascending, with the definition's values."""
+        bd = boundary_distances(g, c)
+        mat = cls._by_definition(g, c)
+        member = c.membership_matrix(g.vertex_count)
+        assert bd.num_clusters == len(c.clusters)
+        assert bd.indptr.dtype == bd.cluster.dtype == np.int64 and bd.indptr[0] == 0
+        for v in range(g.vertex_count):
+            ids = bd.cluster[bd.indptr[v] : bd.indptr[v + 1]]
+            assert ids.tolist() == np.flatnonzero(member[:, v]).tolist()
+            assert bd.value[bd.indptr[v] : bd.indptr[v + 1]].tobytes() == mat[ids, v].tobytes()
+        assert bd.matrix.tobytes() == mat.tobytes()
+        return bd
+
+    def test_entries_with_zero_weights(self):
+        for g, c in _sampling_cases():
+            self._assert_entries_by_definition(g, c)
+
     def test_equals_full_sweep_from_complement(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -134,7 +189,7 @@ class TestBoundaryDistances:
                 size = int(rng.integers(1, n + 1))
                 lists.append(sorted(int(v) for v in rng.permutation(n)[:size]))
             c = make_cover(lists)
-            assert boundary_distances(g, c).matrix.tobytes() == self._by_definition(g, c).tobytes()
+            self._assert_entries_by_definition(g, c)
 
     def test_equals_full_sweep_on_disconnected_graph(self):
         rng = np.random.default_rng(6)
@@ -145,8 +200,7 @@ class TestBoundaryDistances:
             part = [int(v) for v in a + rng.permutation(b)[: int(rng.integers(1, b))]]
             lists = [list(range(a)), list(range(a, a + b)), sorted(list(range(a)) + part), sorted(part)]
             c = make_cover(lists)
-            got = boundary_distances(g, c).matrix
-            assert got.tobytes() == self._by_definition(g, c).tobytes()
+            got = self._assert_entries_by_definition(g, c).matrix
             # a whole component has an empty rim: its entries stay +inf
             assert np.all(got[0, :a] == np.inf) and np.all(got[1, a:] == np.inf)
 
@@ -189,6 +243,10 @@ class TestSamplePadded:
         for seed in range(5):
             pp = sample_padded(g, c, beta, (4 + 8 * rho) * delta, seed=seed)
             assert mat[pp.assignment, np.arange(36)].all()
+
+    def test_empty_cover_rejected(self):
+        with pytest.raises(StructuralError, match="cover has no clusters"):
+            sample_padded(path_graph(3), make_cover([]), beta=1.0, delta=2.0, seed=0)
 
     def test_uncovered_vertex_rejected(self):
         g = path_graph(3)
@@ -236,6 +294,82 @@ class TestSamplePadded:
         assert np.array_equal(a.shifts, b.shifts)
 
 
+class TestSparseDraw:
+    """The entry-list draw and margin runner-up against the dense clusters x vertices definitions."""
+
+    BETA, DELTA = 3.0, 4.0
+
+    def _draws(self, g, c, seeds):
+        bd = boundary_distances(g, c)
+        _, lam = padded_mod._sparsity_lambda(bd)
+        for seed in seeds:
+            yield bd, padded_mod._draw(bd, lam, self.BETA, self.DELTA, seed)
+
+    def _assert_pinned(self, g, c, seeds):
+        n = g.vertex_count
+        boundary = TestBoundaryDistances._by_definition(g, c)
+        member = c.membership_matrix(n)
+        for bd, (pp, pot, best) in self._draws(g, c, seeds):
+            # the unmasked potential over all (cluster, vertex)
+            f = boundary + pp.shifts[:, None] * (self.DELTA / self.BETA)
+            masked = np.where(member, f, -np.inf)
+            assert pp.assignment.tobytes() == np.argmax(masked, axis=0).astype(np.int64).tobytes()
+            assert best.tobytes() == f[pp.assignment, np.arange(n)].tobytes()
+            # the runner-up over all clusters, members or not, winner masked
+            rest = f.copy()
+            rest[pp.assignment, np.arange(n)] = -np.inf
+            assert padded_mod._runner_up(bd, pp, pot).tobytes() == rest.max(axis=0).tobytes()
+
+    def test_equals_dense_argmax_and_runner_up(self):
+        for g, c in _sampling_cases():
+            self._assert_pinned(g, c, list(range(8)))
+
+    def test_equal_shifts_tie_every_potential(self, monkeypatch):
+        # all shifts equal and, on zero weights, all boundary distances 0: every
+        # potential of a vertex ties, and the lowest cluster id containing it wins
+        monkeypatch.setattr(padded_mod.TexpSampler, "sample_many", lambda self, k: np.full(k, 0.375))
+        for g, c in _sampling_cases():
+            self._assert_pinned(g, c, [0])
+        g, c = _sampling_cases()[-2]
+        pp = sample_padded(g, c, self.BETA, self.DELTA, seed=0)
+        member = c.membership_matrix(12)
+        assert pp.assignment.tolist() == [int(np.flatnonzero(member[:, v])[0]) for v in range(12)]
+
+    def test_single_cluster(self):
+        g, c = _sampling_cases()[-1]
+        for bd, (pp, pot, best) in self._draws(g, c, range(3)):
+            assert pp.assignment.tolist() == [0] * 12
+            assert np.all(padded_mod._runner_up(bd, pp, pot) == -np.inf)
+        self._assert_pinned(g, c, [0, 1])
+
+    def test_contains_equals_membership(self):
+        rng = np.random.default_rng(4)
+        for g, c in _sampling_cases():
+            bd = boundary_distances(g, c)
+            member = c.membership_matrix(g.vertex_count)
+            for _ in range(5):
+                a = rng.integers(0, len(c.clusters), g.vertex_count)
+                assert bd.contains(a).tolist() == member[a, np.arange(g.vertex_count)].tolist()
+
+    def test_prepared_draw_allocates_no_dense_matrix(self):
+        import tracemalloc
+
+        g = WeightedGraph(511, [((v - 1) // 2, v, 1.0) for v in range(1, 511)])
+        tree = build_cop_decomposition(g, CopConfig(delta=2.0, seed=1))
+        c = cover(subtree_view(tree, g), full_mask(511), rho=1.0, delta=2.0)
+        bd = boundary_distances(g, c)
+        sample_padded(g, c, 12.0, 24.0, seed=0, boundary=bd)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            sample_padded(g, c, 12.0, 24.0, seed=1, boundary=bd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # not even a bool clusters x vertices array fits under k * n bytes
+        assert peak < len(c.clusters) * 511, (peak, len(c.clusters))
+
+
 class TestEstimatePadding:
     def test_gamma_zero_probability_one(self):
         g = grid_graph(4, 4)
@@ -253,20 +387,21 @@ class TestEstimatePadding:
         assert est.min_prob == 1.0
         assert est.passed
 
-    def test_sparsity_read_from_membership(self, monkeypatch):
-        # lambda and the coverage check come from the membership matrix the
-        # caller passes, so no draw walks the cluster list again
+    def test_sparsity_read_from_prepared_cover(self, monkeypatch):
+        # lambda and the coverage check come from the prepared cover's entry
+        # counts, so no draw walks the cluster list or builds a matrix
         g = grid_graph(4, 4)
         tree = build_cop_decomposition(g, CopConfig(delta=2.0, seed=1))
         c = cover(subtree_view(tree, g), full_mask(16), rho=1.0, delta=2.0)
         s = c.sparsity(16)
-        m = c.membership_matrix(16)
+        bd = boundary_distances(g, c)
 
         def recount(self, n):
-            raise AssertionError("Cover.sparsity called")
+            raise AssertionError("Cover recounted")
 
         monkeypatch.setattr(Cover, "sparsity", recount)
-        pp = sample_padded(g, c, 12.0, 24.0, seed=5, membership=m)
+        monkeypatch.setattr(Cover, "membership_matrix", recount)
+        pp = sample_padded(g, c, 12.0, 24.0, seed=5, boundary=bd)
         assert pp.lam == pytest.approx(2.0 + 2.0 * math.log(max(s, 1)))
         est = estimate_padding(g, c, beta=12.0, delta=24.0, gamma=0.0, trials=5, seed=3)
         assert est.extra["sparsity"] == s
