@@ -192,79 +192,35 @@ def _part_diameters(g: WeightedGraph, assignment: np.ndarray):
 
 
 def _build_cover_for_graph(g, delta, rho, seed, gamma_target=None, gamma_retries=16):
-    """Per-component decomposition + cover, merged over components.
+    """Decomposition + cover of each component, built in place and merged.
 
-    Returns (trees, views, merged cover, per-component covers).
+    Returns (trees, views, merged cover).
     """
-    comps = connected_components(g)
     trees = []
     covers = []
     views = []
     merged: list = []
-    for idx, comp in enumerate(comps):
-        sub_mask = np.zeros(g.vertex_count, dtype=np.bool_)
-        sub_mask[comp] = True
+    for idx, comp in enumerate(connected_components(g)):
+        universe = np.zeros(g.vertex_count, dtype=np.bool_)
+        universe[comp] = True
         cfg = CopConfig(
             delta=delta, seed=_derive_int(seed, "decompose", idx), max_gamma_retries=gamma_retries
         )
-        if len(comps) == 1:
-            tree = (
-                build_cop_decomposition(g, cfg)
-                if gamma_target is None
-                else build_with_gamma_search(g, delta, gamma_target, cfg)[0]
-            )
-        else:
-            sub_g, mapping = _induced_graph(g, comp)
-            sub_tree = (
-                build_cop_decomposition(sub_g, cfg)
-                if gamma_target is None
-                else build_with_gamma_search(sub_g, delta, gamma_target, cfg)[0]
-            )
-            tree = _lift_tree(sub_tree, mapping, g, sub_mask)
+        tree = (
+            build_cop_decomposition(g, cfg, universe)
+            if gamma_target is None
+            else build_with_gamma_search(g, delta, gamma_target, cfg, universe)[0]
+        )
         trees.append(tree)
         view = subtree_view(tree, g)
         views.append(view)
-        c = cover(view, sub_mask, rho, delta)
+        c = cover(view, universe, rho, delta)
         color_classes(c, tree)
         covers.append(c)
         merged.extend(c.clusters)
     merged_cover = Cover(clusters=merged, rho=rho, delta=delta)
     merged_cover.color_classes = _merge_color_classes(covers, merged)
-    return trees, views, merged_cover, covers
-
-
-def _induced_graph(g: WeightedGraph, comp: np.ndarray):
-    mapping = {int(v): i for i, v in enumerate(comp)}
-    edges = []
-    for u, v, w in zip(g.edges_u, g.edges_v, g.edges_w):
-        if int(u) in mapping and int(v) in mapping:
-            edges.append((mapping[int(u)], mapping[int(v)], float(w)))
-    return WeightedGraph(len(comp), edges), comp
-
-
-def _lift_tree(sub_tree, comp_ids, g, sub_mask):
-    """Relabel a component-local partition tree to global vertex ids."""
-    from .partition_tree import PartitionTree, SkeletonTree, Supernode
-
-    lifted = []
-    for sn in sub_tree.supernodes:
-        lifted.append(
-            Supernode(
-                id=sn.id,
-                vertices=np.asarray(sorted(int(comp_ids[v]) for v in sn.vertices), dtype=np.int64),
-                skeleton=SkeletonTree(
-                    root=int(comp_ids[sn.skeleton.root]),
-                    edges=sorted(
-                        (int(comp_ids[u]), int(comp_ids[v])) for u, v in sn.skeleton.edges
-                    ),
-                ),
-                parent=sn.parent,
-                creation_index=sn.creation_index,
-                radius=sn.radius,
-            )
-        )
-    tree = PartitionTree(lifted, root=sub_tree.root)
-    return compute_domains_and_bags(tree, g, universe=sub_mask)
+    return trees, views, merged_cover
 
 
 def _merge_color_classes(covers, merged_clusters):
@@ -288,7 +244,7 @@ def _cmd_cover(args) -> int:
     g = _read_graph(args.input)
     rho = _resolve_rho(args)
     seed = _root_seed(args)
-    _trees, _views, merged, _covers = _build_cover_for_graph(g, args.delta, rho, seed)
+    _trees, _views, merged = _build_cover_for_graph(g, args.delta, rho, seed)
     diam_bound = (4.0 + 8.0 * rho) * args.delta
     pad_radius = rho * args.delta
     report = verify_cover(merged, g, full_mask(g.vertex_count), pad_radius, diam_bound)
@@ -404,7 +360,7 @@ def run_pipeline(args) -> tuple[dict, int]:
 
     delta = args.delta
     t0 = time.perf_counter()
-    trees, views, merged, _covers = _build_cover_for_graph(
+    trees, views, merged = _build_cover_for_graph(
         g, delta, rho, seed, gamma_target=args.gamma_target, gamma_retries=args.gamma_retries
     )
     timings["decompose_and_cover"] = time.perf_counter() - t0

@@ -15,7 +15,7 @@ requested buffer target is met (or retries run out and the best attempt is
 returned flagged).
 
 Every "arbitrary" choice is resolved by smallest vertex id, which makes a
-build a pure function of (graph, config).
+build a pure function of (graph, universe, config).
 """
 
 from __future__ import annotations
@@ -25,7 +25,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._kernels import multisource_dijkstra
-from .graph_core import StructuralError, WeightedGraph, connected_components, incident_edges
+from .graph_core import (
+    StructuralError,
+    WeightedGraph,
+    as_mask,
+    connected_components,
+    full_mask,
+    incident_edges,
+)
 from .padded import TexpSampler
 from .partition_tree import (
     BufferReport,
@@ -65,16 +72,26 @@ def _shortest_pred(g: WeightedGraph, dist: np.ndarray, v: int) -> int:
     return int(hits.min())
 
 
-def build_cop_decomposition(g: WeightedGraph, cfg: CopConfig) -> PartitionTree:
-    """Partition g into supernodes; see module docstring for the process."""
+def build_cop_decomposition(g: WeightedGraph, cfg: CopConfig, universe=None) -> PartitionTree:
+    """Partition G[universe] into supernodes; see module docstring for the process.
+
+    ``universe`` (a mask or id list, all of V by default) must induce a
+    connected subgraph; a disconnected graph is decomposed one component
+    at a time, each in place with its component as the universe.  The
+    default lambda is 2 + 2 ln |universe|, and the tree's supernodes
+    partition the universe.
+    """
     n = g.vertex_count
-    if len(connected_components(g)) != 1:
-        raise StructuralError("graph must be connected; run per component")
-    lam = cfg.lambda_radius if cfg.lambda_radius is not None else 2.0 + 2.0 * np.log(max(n, 2))
+    universe = full_mask(n) if universe is None else as_mask(n, universe)
+    parts = len(connected_components(g, universe))
+    if parts != 1:
+        raise StructuralError(f"the graph to decompose has {parts} connected components; build one per component")
+    size = int(np.count_nonzero(universe))
+    lam = cfg.lambda_radius if cfg.lambda_radius is not None else 2.0 + 2.0 * np.log(max(size, 2))
     sampler = TexpSampler(lam, rng=derive_rng(cfg.seed, "cop-radius"))
 
     node_of = np.full(n, -1, dtype=np.int64)
-    unprocessed = np.ones(n, dtype=np.bool_)
+    unprocessed = universe.copy()
     supernodes: list[Supernode] = []
 
     while unprocessed.any():
@@ -135,7 +152,7 @@ def build_cop_decomposition(g: WeightedGraph, cfg: CopConfig) -> PartitionTree:
         unprocessed[members] = False
 
     tree = PartitionTree(supernodes, root=0)
-    return compute_domains_and_bags(tree, g)
+    return compute_domains_and_bags(tree, g, universe)
 
 
 def _derived_seed(seed: int, attempt: int) -> int:
@@ -143,9 +160,9 @@ def _derived_seed(seed: int, attempt: int) -> int:
 
 
 def build_with_gamma_search(
-    g: WeightedGraph, delta: float, target_gamma: float, cfg: CopConfig
+    g: WeightedGraph, delta: float, target_gamma: float, cfg: CopConfig, universe=None
 ) -> tuple[PartitionTree, BufferReport]:
-    """Re-sample decompositions until the measured buffer reaches the target.
+    """Re-sample decompositions of G[universe] until the measured buffer reaches the target.
 
     Returns the first attempt with gamma_eff >= target_gamma, or after
     ``max_gamma_retries`` attempts the best one seen, with the report
@@ -157,7 +174,7 @@ def build_with_gamma_search(
     attempts = max(1, cfg.max_gamma_retries)
     for k in range(attempts):
         attempt_cfg = replace(cfg, delta=delta, seed=_derived_seed(cfg.seed, k))
-        tree = build_cop_decomposition(g, attempt_cfg)
+        tree = build_cop_decomposition(g, attempt_cfg, universe)
         report = verify_buffered(tree, g, delta, target_gamma, w=g.vertex_count)
         if report.gamma_eff >= target_gamma:
             return tree, report

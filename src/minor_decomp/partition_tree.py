@@ -131,6 +131,7 @@ class PartitionTree:
         self.children: list[list[int]] | None = None
         self._tin: np.ndarray | None = None
         self._tout: np.ndarray | None = None
+        self._preorder: np.ndarray | None = None  # node ids by tin
 
     def __len__(self) -> int:
         return len(self.supernodes)
@@ -154,9 +155,9 @@ class PartitionTree:
         return out
 
     def subtree_nodes(self, node: int) -> list[int]:
+        """The node and its descendants, ascending."""
         self._require_caches()
-        lo, hi = self._tin[node], self._tout[node]
-        return [i for i in range(len(self.supernodes)) if lo <= self._tin[i] < hi]
+        return np.sort(self._preorder[self._tin[node] : self._tout[node]]).tolist()
 
     def domain_ids(self, node: int) -> np.ndarray:
         self._require_caches()
@@ -201,6 +202,7 @@ def compute_domains_and_bags(tree: PartitionTree, g: WeightedGraph, universe=Non
     tin = np.full(k, -1, dtype=np.int64)
     tout = np.full(k, -1, dtype=np.int64)
     depth = np.full(k, -1, dtype=np.int64)
+    preorder = np.empty(k, dtype=np.int64)
     clock = 0
     stack = [(tree.root, 0, False)]
     while stack:
@@ -211,6 +213,7 @@ def compute_domains_and_bags(tree: PartitionTree, g: WeightedGraph, universe=Non
         if tin[node] != -1:
             raise StructuralError("parent links contain a cycle")
         tin[node] = clock
+        preorder[clock] = node
         clock += 1
         depth[node] = d
         stack.append((node, d, True))
@@ -233,16 +236,14 @@ def compute_domains_and_bags(tree: PartitionTree, g: WeightedGraph, universe=Non
     tree.depth = depth
     tree._tin = tin
     tree._tout = tout
+    tree._preorder = preorder
     tree.domains = domains
     tree.caches_ready = True
 
     bag_sets: list[set[int]] = [{i} for i in range(k)]
     parent_arr = [sn.parent for sn in tree.supernodes]
-    for u, v, _w in zip(g.edges_u, g.edges_v, g.edges_w):
-        a = int(node_of[u])
-        b = int(node_of[v])
-        if a == b or a == -1 or b == -1:
-            continue
+    _e, ends_a, ends_b = _cross_edges(tree, g)
+    for a, b in zip(ends_a.tolist(), ends_b.tolist()):
         if tree.is_ancestor(a, b):
             hi, lo = a, b
         elif tree.is_ancestor(b, a):
@@ -255,6 +256,19 @@ def compute_domains_and_bags(tree: PartitionTree, g: WeightedGraph, universe=Non
             node = parent_arr[node]
     tree.bags = [tuple(sorted(s)) for s in bag_sets]
     return tree
+
+
+def _cross_edges(tree: PartitionTree, g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges whose ends lie in two different supernodes, in edge-list order.
+
+    Returns (edge ids, supernode of each u end, supernode of each v end).
+    Only these edges bear on bags and edge coverage: an edge inside one
+    supernode or with an end outside the tree's universe adds nothing.
+    """
+    a = tree.node_of[g.edges_u]
+    b = tree.node_of[g.edges_v]
+    e = np.flatnonzero((a >= 0) & (b >= 0) & (a != b))
+    return e, a[e], b[e]
 
 
 @dataclass
@@ -444,13 +458,9 @@ def verify_tree_decomposition(tree: PartitionTree, g: WeightedGraph) -> tuple[bo
         v = int(np.flatnonzero(universe & ~covered)[0])
         return False, {"kind": "vertex_not_covered", "vertex": v}
 
-    for u, v, _w in zip(g.edges_u, g.edges_v, g.edges_w):
-        a = int(tree.node_of[u])
-        b = int(tree.node_of[v])
-        if a == b or a == -1 or b == -1:
-            continue
+    for e, a, b in zip(*(x.tolist() for x in _cross_edges(tree, g))):
         if not (in_bag_of[a] & in_bag_of[b]):
-            return False, {"kind": "edge_not_covered", "edge": [int(u), int(v)]}
+            return False, {"kind": "edge_not_covered", "edge": [int(g.edges_u[e]), int(g.edges_v[e])]}
 
     parent = [sn.parent for sn in tree.supernodes]
     for x in range(k):

@@ -4,12 +4,12 @@ import pytest
 from minor_decomp import cop_builder
 from minor_decomp.cop_builder import CopConfig, build_cop_decomposition, build_with_gamma_search
 from minor_decomp.generators import FamilySpec, generate
-from minor_decomp.graph_core import StructuralError, WeightedGraph
+from minor_decomp.graph_core import StructuralError, WeightedGraph, connected_components
 from minor_decomp.padded import TexpSampler
-from minor_decomp.partition_tree import tree_to_json, verify_buffered
+from minor_decomp.partition_tree import PartitionTree, SkeletonTree, Supernode, tree_to_json, verify_buffered
 from minor_decomp.seeding import derive_rng
 
-from util import grid_graph, path_graph
+from util import g_induced, grid_graph, path_graph
 
 
 class TestBuild:
@@ -62,6 +62,11 @@ class TestBuild:
         tree = build_cop_decomposition(g, CopConfig(delta=2.0, seed=1))
         assert len(tree) > 1
         assert len(calls) == 1
+        # a build inside a universe makes the same single call
+        calls.clear()
+        tree = build_cop_decomposition(g, CopConfig(delta=2.0, seed=1), universe=np.arange(63))
+        assert len(tree) > 1
+        assert len(calls) == 1
 
     def test_determinism_byte_for_byte(self):
         g = grid_graph(5, 5)
@@ -105,6 +110,91 @@ class TestBuild:
             for seed in range(5):
                 tree = build_cop_decomposition(g, CopConfig(delta=2.0, seed=seed))
                 assert max(len(b) for b in tree.bags) <= bound
+
+
+def random_disconnected(rng) -> WeightedGraph:
+    """Random components with float weights in [0.1, 3), one zero-weight
+    edge and two isolated vertices, vertex ids interleaved by a permutation."""
+    sizes = [int(rng.integers(2, 14)) for _ in range(3)] + [1, 1]
+    edges, offset = [], 0
+    for size in sizes:
+        for v in range(1, size):
+            edges.append((offset + int(rng.integers(0, v)), offset + v))  # spanning tree
+        for u in range(size):
+            for v in range(u + 1, size):
+                if (offset + u, offset + v) not in edges and rng.random() < 0.25:
+                    edges.append((offset + u, offset + v))
+        offset += size
+    weights = rng.uniform(0.1, 3.0, len(edges))
+    weights[int(rng.integers(0, len(edges)))] = 0.0
+    relabel = rng.permutation(offset)
+    return WeightedGraph(offset, [(int(relabel[u]), int(relabel[v]), float(w)) for (u, v), w in zip(edges, weights)])
+
+
+def relabelled(tree: PartitionTree, ids: np.ndarray) -> PartitionTree:
+    """A tree built on a copy of G[ids] (vertex i standing for ids[i]) in the ids of G."""
+    return PartitionTree(
+        [
+            Supernode(
+                id=sn.id,
+                vertices=np.sort(ids[sn.vertices]),
+                skeleton=SkeletonTree(
+                    root=int(ids[sn.skeleton.root]),
+                    edges=sorted((int(ids[u]), int(ids[v])) for u, v in sn.skeleton.edges),
+                ),
+                parent=sn.parent,
+                creation_index=sn.creation_index,
+                radius=sn.radius,
+            )
+            for sn in tree.supernodes
+        ],
+        root=tree.root,
+    )
+
+
+class TestUniverse:
+    def test_in_place_equals_induced_copy(self):
+        # each component built in place inside its mask equals, bit for bit,
+        # the build on a copy of the component relabelled to the ids of G
+        rng = np.random.default_rng(2024)
+        for _ in range(12):
+            g = random_disconnected(rng)
+            comps = connected_components(g)
+            assert len(comps) >= 5
+            for comp in comps:
+                universe = np.zeros(g.vertex_count, dtype=np.bool_)
+                universe[comp] = True
+                sub = g_induced(g, comp)
+                for seed in range(3):
+                    cfg = CopConfig(delta=float(rng.uniform(0.5, 4.0)), seed=seed)
+                    tree = build_cop_decomposition(g, cfg, universe)
+                    sub_tree = build_cop_decomposition(sub, cfg)
+                    ref = relabelled(sub_tree, comp)
+                    assert tree_to_json(tree) == tree_to_json(ref)
+                    assert [sn.radius for sn in tree.supernodes] == [sn.radius for sn in ref.supernodes]
+                    assert tree.bags == sub_tree.bags
+                    assert np.array_equal(tree.domains[tree.root], universe)
+
+    def test_gamma_search_in_place_equals_induced_copy(self):
+        rng = np.random.default_rng(7)
+        g = random_disconnected(rng)
+        for comp in connected_components(g):
+            cfg = CopConfig(delta=1.5, seed=3, max_gamma_retries=4)
+            tree, rep = build_with_gamma_search(g, 1.5, 0.5, cfg, universe=comp)
+            sub_tree, sub_rep = build_with_gamma_search(g_induced(g, comp), 1.5, 0.5, cfg)
+            assert tree_to_json(tree) == tree_to_json(relabelled(sub_tree, comp))
+            assert rep.gamma_eff == sub_rep.gamma_eff
+            assert rep.target_not_met == sub_rep.target_not_met
+
+    def test_rejects_disconnected_universe(self):
+        g = WeightedGraph(6, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 0.5)])
+        with pytest.raises(StructuralError, match="connected"):
+            build_cop_decomposition(g, CopConfig(delta=1.0, seed=0), universe=[0, 1, 2])
+        with pytest.raises(StructuralError, match="connected"):
+            build_cop_decomposition(g, CopConfig(delta=1.0, seed=0), universe=[])
+        # a connected universe inside a disconnected graph builds
+        tree = build_cop_decomposition(g, CopConfig(delta=1.0, seed=0), universe=[2, 3, 4])
+        assert sorted(int(v) for sn in tree.supernodes for v in sn.vertices) == [2, 3, 4]
 
 
 class TestGammaSearch:

@@ -19,7 +19,7 @@ from minor_decomp.graph_core import (
 )
 from minor_decomp.oracles import apsp_bruteforce
 
-from util import cycle_graph, grid_graph, path_graph, random_graph
+from util import cycle_graph, g_induced, grid_graph, path_graph, random_graph
 
 
 def ids(mask):
@@ -122,16 +122,6 @@ class TestShortestPaths:
         a = _kernels.multisource_dijkstra(g.indptr, g.indices, g.weights, src, rmask, np.inf, backend="numba")
         b = _kernels.multisource_dijkstra(g.indptr, g.indices, g.weights, src, rmask, np.inf, backend="numpy")
         assert np.array_equal(a, b)
-
-
-def g_induced(g, keep_ids):
-    """Independent induced-subgraph builder for the oracle comparison."""
-    lookup = {int(v): i for i, v in enumerate(keep_ids)}
-    edges = []
-    for u, v, w in g.edges():
-        if u in lookup and v in lookup:
-            edges.append((lookup[u], lookup[v], w))
-    return WeightedGraph(len(keep_ids), edges)
 
 
 class TestBall:

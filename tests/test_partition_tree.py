@@ -70,6 +70,19 @@ class TestDomainsAndBags:
                         assert x in tree.bags[eta]
                         eta = tree.supernodes[eta].parent
 
+    def test_subtree_nodes_by_definition(self):
+        # the node and every node whose ancestor chain reaches it, ascending;
+        # in the hand-built tree, preorder (0, 1, 3, 4, 2) is not ascending
+        trees = [
+            manual_tree(path_graph(5), [[0], [1], [2], [3], [4]], [None, 0, 0, 1, 1]),
+            build_cop_decomposition(grid_graph(6, 6), CopConfig(delta=1.0, seed=4)),
+        ]
+        for tree in trees:
+            for node in range(len(tree)):
+                expect = [d for d in range(len(tree)) if d == node or node in tree.ancestors_of(d)]
+                assert tree.subtree_nodes(node) == expect
+        assert trees[0].subtree_nodes(0) == [0, 1, 2, 3, 4]
+
     def test_partition_property_on_built_trees(self):
         g = grid_graph(5, 5)
         tree = build_cop_decomposition(g, CopConfig(delta=2.0, seed=1))
@@ -188,6 +201,14 @@ class TestTreeDecomposition:
         assert not ok
         assert witness["kind"] == "edge_not_covered"
         assert witness["edge"] == [1, 2]
+        # two uncovered edges, (1,2) and (3,4): supernodes 1 and 2 hang
+        # apart under the root, and so do 3 (under 2) and 4; the witness
+        # is the one listed first in the edge list, not the lower ids
+        g = WeightedGraph(6, [(0, 1, 1.0), (3, 4, 1.0), (2, 3, 1.0), (4, 5, 1.0), (1, 2, 1.0)])
+        mutated = manual_tree(g, [[0], [1], [2], [3], [4], [5]], [None, 0, 0, 2, 0, 4])
+        ok, witness = verify_tree_decomposition(mutated, g)
+        assert not ok
+        assert witness == {"kind": "edge_not_covered", "edge": [3, 4]}
 
 
 def all_valid_nets(skeleton, g, delta):

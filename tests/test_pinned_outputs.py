@@ -10,13 +10,14 @@ import hashlib
 import numpy as np
 import pytest
 
+from minor_decomp.cli import _build_cover_for_graph, _dump_json
 from minor_decomp.cop_builder import CopConfig, build_cop_decomposition
 from minor_decomp.generators import FamilySpec, generate
-from minor_decomp.graph_core import full_mask
+from minor_decomp.graph_core import WeightedGraph, full_mask
 from minor_decomp.padded import sample_padded
 from minor_decomp.partition_tree import tree_to_json
 from minor_decomp.separator import subtree_view
-from minor_decomp.sparse_cover import cover
+from minor_decomp.sparse_cover import cover, cover_to_json_obj
 
 DELTA, RHO = 2.0, 1.0
 DELTA_P = (4.0 + 8.0 * RHO) * DELTA
@@ -96,3 +97,50 @@ def pipeline_digests(family: str, seed: int) -> tuple[str, str, str]:
 @pytest.mark.parametrize("family,seed", sorted(DIGESTS))
 def test_outputs_match_pinned_digests(family, seed):
     assert pipeline_digests(family, seed) == DIGESTS[(family, seed)]
+
+
+# seed -> (every component's tree_to_json, merged cover JSON, five
+# sample_padded assignments) for the disconnected input below, recorded
+# when components were still built on relabelled induced copies
+MULTI_DIGESTS = {
+    1: (
+        "d04a9463abb3f46a5477472cbef78fcb8e05131df3cfdf603dbc1625c70cd2e4",
+        "bc9805c69ffba2ee55f4c31e85ad32dbf7c93ae58052bdf0f1f88ac0581a482c",
+        "c8b8673d992e60af7f476187fca43c90cbc0a61afd2328623405a4465ccd66ba",
+    ),
+    2: (
+        "998f2b8104e573d622d9284da45dd9ad4925409698a7d90d323eb3ab6d49a762",
+        "90795152a53b86dd75e5929f006f58385d3825e31ef8c2131158781f3bd28fc3",
+        "c4d851fe7c7e968518c4e97430f154753c84e4328d1baefe6189a3c8c78b80cb",
+    ),
+}
+
+
+def disconnected_graph(seed: int) -> WeightedGraph:
+    """A 6x6 grid, a geometric-weight tree (n=40), a series-parallel graph
+    (n=30) and two isolated vertices, ids interleaved by a permutation."""
+    parts = [
+        generate(FamilySpec(family="grid", rows=6, cols=6, weights="unit", seed=seed)),
+        generate(FamilySpec(family="tree", n=40, weights="geometric", seed=seed)),
+        generate(FamilySpec(family="series_parallel", n=30, weights="uniform", seed=seed)),
+    ]
+    n = sum(p.vertex_count for p in parts) + 2
+    relabel = np.random.default_rng(seed).permutation(n)
+    edges, offset = [], 0
+    for p in parts:
+        edges += [(int(relabel[offset + u]), int(relabel[offset + v]), w) for u, v, w in p.edges()]
+        offset += p.vertex_count
+    return WeightedGraph(n, edges)
+
+
+@pytest.mark.parametrize("seed", sorted(MULTI_DIGESTS))
+def test_components_match_pinned_digests(seed):
+    g = disconnected_graph(seed)
+    trees, _views, merged = _build_cover_for_graph(g, DELTA, RHO, seed)
+    assert len(trees) == 5
+    draws = [sample_padded(g, merged, BETA, DELTA_P, seed=s).assignment for s in range(5)]
+    assert (
+        _sha([tree_to_json(t).encode() for t in trees]),
+        _sha([_dump_json(cover_to_json_obj(merged)).encode()]),
+        _sha([np.asarray(a, dtype=np.int64).tobytes() for a in draws]),
+    ) == MULTI_DIGESTS[seed]

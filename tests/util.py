@@ -57,6 +57,20 @@ def random_graph(n: int, p: float, rng: np.random.Generator, connected: bool = T
     return WeightedGraph(n, [(u, v, wt) for (u, v), wt in edges.items()])
 
 
+def g_induced(g, keep_ids) -> WeightedGraph:
+    """Copy of G[keep_ids] with vertex i standing for keep_ids[i].
+
+    An independent induced-subgraph builder: the library itself never
+    copies an induced subgraph, it restricts the same graph by a mask.
+    """
+    lookup = {int(v): i for i, v in enumerate(keep_ids)}
+    edges = []
+    for u, v, w in g.edges():
+        if u in lookup and v in lookup:
+            edges.append((lookup[u], lookup[v], w))
+    return WeightedGraph(len(keep_ids), edges)
+
+
 def manual_tree(g, groups, parents, skeleton_roots=None, skeleton_edges=None) -> PartitionTree:
     """Hand-assemble a partition tree; group i gets parent parents[i].
 
