@@ -260,6 +260,7 @@ def _cmd_cover(args) -> int:
 def _read_cover(path: str, g: WeightedGraph) -> Cover:
     c = cover_from_json(_read_text(path))
     c.check_vertex_ids(g.vertex_count)
+    c.check_class_indices()
     return c
 
 

@@ -295,8 +295,8 @@ def connected_components(g: WeightedGraph, restrict=None) -> list[np.ndarray]:
     rmask = full_mask(n) if restrict is None else as_mask(n, restrict)
     seen = np.zeros(n, dtype=np.bool_)
     comps = []
-    for start in range(n):
-        if not rmask[start] or seen[start]:
+    for start in np.flatnonzero(rmask).tolist():
+        if seen[start]:
             continue
         stack = [start]
         seen[start] = True

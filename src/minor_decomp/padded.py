@@ -313,15 +313,14 @@ def estimate_padding(
     trials: int,
     seed: int,
     boundary: BoundaryDistances | None = None,
-    membership: np.ndarray | None = None,
 ) -> PaddingEstimate:
     """Empirical padding probabilities over independent sampled partitions.
 
     The cover ``c`` is fixed; only the shifts resample.  ``boundary``, when
-    given, is ``c`` prepared by ``boundary_distances``; ``membership`` is
-    ignored, as in ``sample_padded``.  Every trial draws through the same
-    path as ``sample_padded`` and reads only the prepared entries; the
-    margin check's runner-up stays exact over all clusters (``_runner_up``).
+    given, is ``c`` prepared by ``boundary_distances``.  Every trial draws
+    through the same path as ``sample_padded`` and reads only the prepared
+    entries; the margin check's runner-up stays exact over all clusters
+    (``_runner_up``).
     """
     if trials < 1:
         raise StructuralError("trials must be >= 1")

@@ -396,14 +396,7 @@ def verify_buffered(
             targets = [d for d in desc_ids if anc.id not in bag_lookup[d]]
             if not targets:
                 continue
-            dist_map = multisource_dijkstra(
-                g.indptr,
-                g.indices,
-                g.weights,
-                sn_vertices_array(anc),
-                tree.domains[anc.id],
-                np.inf,
-            )
+            dist_map = domain_distances(tree, g, anc.id)
             for d in targets:
                 dom_ids = tree.domain_ids(d)
                 vals = dist_map[dom_ids]
@@ -429,8 +422,10 @@ def verify_buffered(
     )
 
 
-def sn_vertices_array(sn: Supernode) -> np.ndarray:
-    return np.asarray(sn.vertices, dtype=np.int64)
+def domain_distances(tree: PartitionTree, g: WeightedGraph, node: int) -> np.ndarray:
+    """d_{dom(node)}(v, node) for every v; +inf outside the domain."""
+    src = np.asarray(tree.supernodes[node].vertices, dtype=np.int64)
+    return multisource_dijkstra(g.indptr, g.indices, g.weights, src, tree.domains[node], np.inf)
 
 
 def verify_tree_decomposition(tree: PartitionTree, g: WeightedGraph) -> tuple[bool, dict | None]:

@@ -2,11 +2,13 @@
 
 Repeatedly take the unmarked node of minimum depth, add it to the
 separator set, and mark every descendant whose bag meets the selected
-node's bag (restricted to the subtree).  Removing the selected set from
-the subtree lowers the subtree-width of every remaining component by at
-least one, which bounds the recursion depth of the cover construction;
-the buffer property bounds how many selected nodes can "threaten" any
-fixed vertex.
+node's bag (restricted to the subtree).  Marking only reaches the selected
+node and its descendants, so one pass over the members in (depth, id)
+order, selecting each node no earlier selection marked, makes the same
+choices.  Removing the selected set from the subtree lowers the
+subtree-width of every remaining component by at least one, which bounds
+the recursion depth of the cover construction; the buffer property bounds
+how many selected nodes can "threaten" any fixed vertex.
 
 ``TreeMetrics`` memoizes the expensive per-supernode quantities (domain
 distance maps, skeleton nets, balls around net points) across the whole
@@ -21,7 +23,7 @@ import numpy as np
 
 from ._kernels import multisource_dijkstra
 from .graph_core import StructuralError, WeightedGraph
-from .partition_tree import PartitionTree, delta_net
+from .partition_tree import PartitionTree, delta_net, domain_distances
 
 
 class TreeMetrics:
@@ -39,11 +41,7 @@ class TreeMetrics:
         """d_{dom(node)}(v, node) for every v; +inf outside the domain."""
         got = self._dist_to_node.get(node)
         if got is None:
-            g = self.g
-            src = np.asarray(self.tree.supernodes[node].vertices, dtype=np.int64)
-            got = multisource_dijkstra(
-                g.indptr, g.indices, g.weights, src, self.tree.domains[node], np.inf
-            )
+            got = domain_distances(self.tree, self.g, node)
             self._dist_to_node[node] = got
         return got
 
@@ -120,24 +118,20 @@ class SeparatorSet:
 def separator_supernodes(t: SubtreeView) -> SeparatorSet:
     """Greedy minimum-depth selection; ties broken by smallest node id.
 
-    Each iteration marks at least the selected node itself, so the loop
-    runs at most |members| times and every member ends up marked.
+    A selected node marks itself, and a node is marked only by an ancestor
+    selected before it, so every member ends up marked.
     """
-    if t.is_empty():
-        return SeparatorSet([], {})
     tree = t.tree
     depth = tree.depth
-    members_sorted = sorted(t.members)
-    unmarked = set(t.members)
     selected: list[int] = []
     marked_by: dict[int, int] = {}
-    while unmarked:
-        x = min(unmarked, key=lambda m: (depth[m], m))
+    for x in sorted(t.members, key=lambda m: (depth[m], m)):
+        if x in marked_by:
+            continue
         selected.append(x)
-        m_set = set(tree.bags[x]) & t.members
-        for eta in members_sorted:
-            if eta in unmarked and tree.is_ancestor(x, eta) and m_set.intersection(tree.bags[eta]):
-                unmarked.discard(eta)
+        m_set = t.members.intersection(tree.bags[x])
+        for eta in tree.subtree_nodes(x):
+            if eta in t.members and eta not in marked_by and m_set.intersection(tree.bags[eta]):
                 marked_by[eta] = x
     return SeparatorSet(selected, marked_by)
 
@@ -155,29 +149,15 @@ def components_after_removal(t: SubtreeView, separators) -> list[SubtreeView]:
 
     Ordered by each component's root node id.
     """
-    removed = set(separators)
-    remaining = t.members - removed
+    remaining = t.members - set(separators)
     tree = t.tree
-    top: dict[int, int] = {}
-
-    def find_top(node: int) -> int:
-        chain = []
-        cur = node
-        while cur not in top:
-            chain.append(cur)
-            p = tree.supernodes[cur].parent
-            if p is None or p not in remaining:
-                top[cur] = cur
-                break
-            cur = p
-        root = top[cur]
-        for c in chain:
-            top[c] = root
-        return root
-
+    top: dict[int, int] = {}  # remaining node -> root of its component
     groups: dict[int, set[int]] = {}
-    for node in remaining:
-        groups.setdefault(find_top(node), set()).add(node)
+    # parents before children: a node joins its parent's component if the parent remains
+    for node in sorted(remaining, key=lambda m: tree.depth[m]):
+        root = top.get(tree.supernodes[node].parent, node)
+        top[node] = root
+        groups.setdefault(root, set()).add(node)
     return [t.restrict(groups[r]) for r in sorted(groups)]
 
 

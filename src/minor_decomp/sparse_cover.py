@@ -50,11 +50,6 @@ class Cluster:
     vertices: np.ndarray  # sorted vertex ids
     recursion_depth: int
 
-    def mask(self, n: int) -> np.ndarray:
-        m = np.zeros(n, dtype=np.bool_)
-        m[self.vertices] = True
-        return m
-
 
 @dataclass
 class Cover:
@@ -79,6 +74,15 @@ class Cover:
             twice = cl.vertices[1:][np.diff(cl.vertices) == 0]
             if twice.size:
                 raise StructuralError(f"cluster {i} lists vertex {int(twice[0])} twice")
+
+    def check_class_indices(self) -> None:
+        """Raise StructuralError naming the first color class that lists a
+        cluster index outside 0..k-1."""
+        k = len(self.clusters)
+        for j, group in enumerate(self.color_classes or []):
+            bad = [i for i in group if not 0 <= i < k]
+            if bad:
+                raise StructuralError(f"color class {j} lists cluster {bad[0]} outside 0..{k - 1}")
 
     def sparsity(self, n: int) -> int:
         """Max over vertices of the number of clusters containing it."""
@@ -196,15 +200,16 @@ def color_classes(c: Cover, tree: PartitionTree) -> Cover:
     class_masks: list[np.ndarray] = []
     classes: list[list[int]] = []
     for i in order:
-        m = c.clusters[i].mask(n)
+        ids = c.clusters[i].vertices
         for j, cm in enumerate(class_masks):
-            if not np.any(cm & m):
-                cm |= m
-                classes[j].append(i)
+            if not cm[ids].any():
                 break
         else:
-            class_masks.append(m.copy())
-            classes.append([i])
+            j = len(classes)
+            class_masks.append(np.zeros(n, dtype=np.bool_))
+            classes.append([])
+        class_masks[j][ids] = True
+        classes[j].append(i)
     c.color_classes = classes
     return c
 
@@ -288,10 +293,10 @@ def verify_cover(c: Cover, g: WeightedGraph, universe, pad_radius: float, diam_b
         for group in c.color_classes:
             seen = np.zeros(n, dtype=np.bool_)
             for i in group:
-                m = c.clusters[i].mask(n)
-                if np.any(seen & m):
+                ids = c.clusters[i].vertices
+                if seen[ids].any():
                     class_disjoint_ok = False
-                seen |= m
+                seen[ids] = True
 
     return CoverReport(
         max_diam=max_diam,

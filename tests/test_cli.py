@@ -152,6 +152,25 @@ class TestCoverPadded:
         assert "cluster 1 lists vertex 1 twice" in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("index", [99, -1])
+    @pytest.mark.parametrize("command", ["verify", "padded"])
+    def test_out_of_range_color_class_index_is_malformed_input(self, tmp_path, command, index):
+        g = tmp_path / "g4.el"
+        run_cli("generate", "--family", "grid", "--rows", "4", "--cols", "4", "--out", str(g))
+        cov = tmp_path / "cover.json"
+        run_cli("cover", "--input", str(g), "--delta", "2", "--rho", "1", "--seed", "3", "--out", str(cov))
+        obj = json.loads(cov.read_text())
+        k = len(obj["clusters"])
+        obj["color_classes"][0].append(index)
+        cov.write_text(json.dumps(obj))
+        if command == "verify":
+            res = run_cli("verify", "--kind", "cover", "--graph", str(g), "--input", str(cov))
+        else:
+            res = run_cli("padded", "--graph", str(g), "--cover", str(cov), "--trials", "5")
+        assert res.returncode == 3
+        assert f"color class 0 lists cluster {index} outside 0..{k - 1}" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_verify_padded_reports_true_max_diam(self, grid_file, tmp_path):
         # on the 5x5 grid, part 0 = {0, 2} (diameter 2) is the first to break
         # the bound and part 4 = {4, 24} (diameter 4) is the widest

@@ -10,6 +10,7 @@ from minor_decomp.partition_tree import (
     SkeletonTree,
     compute_domains_and_bags,
     delta_net,
+    domain_distances,
     tree_from_json,
     tree_to_json,
     verify_buffered,
@@ -17,7 +18,10 @@ from minor_decomp.partition_tree import (
     verify_tree_decomposition,
 )
 
-from util import grid_graph, manual_tree, path_graph
+from minor_decomp.oracles import apsp_bruteforce
+from minor_decomp.separator import TreeMetrics
+
+from util import g_induced, grid_graph, manual_tree, path_graph
 
 
 class TestDomainsAndBags:
@@ -161,6 +165,30 @@ class TestVerifyBuffered:
         rep = verify_buffered(tree, g, delta=1.0, gamma=1.0, w=6, skip_buffer=True)
         assert not rep.buffer_checked
         assert rep.gamma_eff == np.inf
+
+
+class TestDomainDistances:
+    def test_equals_floyd_inside_domain(self):
+        # one sweep serves the buffer pass and TreeMetrics.dist_to_node
+        rng = np.random.default_rng(6)
+        g = grid_graph(5, 5)
+        weights = rng.uniform(0.1, 3.0, g.edge_count)
+        weights[3] = 0.0
+        g = WeightedGraph(25, [(u, v, float(w)) for (u, v, _), w in zip(g.edges(), weights)])
+        tree = build_cop_decomposition(g, CopConfig(delta=1.5, seed=4))
+        metrics = TreeMetrics(tree, g)
+        assert len(tree) > 3
+        for node in range(len(tree)):
+            dom = tree.domain_ids(node)
+            d = apsp_bruteforce(g_induced(g, dom))
+            src = np.searchsorted(dom, tree.supernodes[node].vertices)
+            expect = np.full(25, np.inf)
+            expect[dom] = d[src].min(axis=0)
+            got = domain_distances(tree, g, node)
+            np.testing.assert_allclose(got, expect, rtol=1e-12)
+            assert np.isinf(got[~tree.domains[node]]).all()
+            assert metrics.dist_to_node(node).tobytes() == got.tobytes()
+            assert metrics.dist_to_node(node) is metrics.dist_to_node(node)
 
 
 class TestTreeDecomposition:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from minor_decomp.cop_builder import CopConfig, build_cop_decomposition
-from minor_decomp.graph_core import StructuralError
-from minor_decomp.partition_tree import verify_buffered
+from minor_decomp.graph_core import StructuralError, WeightedGraph
+from minor_decomp.partition_tree import PartitionTree, verify_buffered
 from minor_decomp.separator import (
     components_after_removal,
     separator_supernodes,
@@ -13,6 +13,103 @@ from minor_decomp.separator import (
 )
 
 from util import grid_graph, manual_tree, path_graph
+
+
+def old_separator_supernodes(t):
+    """The selection as first written: rescan every unmarked member after
+    each pick.  Kept here as the definition the ordered pass must equal."""
+    if t.is_empty():
+        return [], {}
+    tree = t.tree
+    depth = tree.depth
+    members_sorted = sorted(t.members)
+    unmarked = set(t.members)
+    selected, marked_by = [], {}
+    while unmarked:
+        x = min(unmarked, key=lambda m: (depth[m], m))
+        selected.append(x)
+        m_set = set(tree.bags[x]) & t.members
+        for eta in members_sorted:
+            if eta in unmarked and tree.is_ancestor(x, eta) and m_set.intersection(tree.bags[eta]):
+                unmarked.discard(eta)
+                marked_by[eta] = x
+    return selected, marked_by
+
+
+def old_components_after_removal(t, separators):
+    """Components as first written: climb to the topmost remaining ancestor,
+    with path compression.  Returns [(root, sorted members)] by root id."""
+    remaining = t.members - set(separators)
+    tree = t.tree
+    top = {}
+
+    def find_top(node):
+        chain = []
+        cur = node
+        while cur not in top:
+            chain.append(cur)
+            p = tree.supernodes[cur].parent
+            if p is None or p not in remaining:
+                top[cur] = cur
+                break
+            cur = p
+        root = top[cur]
+        for c in chain:
+            top[c] = root
+        return root
+
+    groups = {}
+    for node in remaining:
+        groups.setdefault(find_top(node), set()).add(node)
+    return [(r, sorted(groups[r])) for r in sorted(groups)]
+
+
+def recursion_views(view):
+    """Every subtree view the cover recursion visits, the full view first."""
+    out, stack = [], [view]
+    while stack:
+        t = stack.pop()
+        out.append(t)
+        if not t.is_empty():
+            sep = separator_supernodes(t)
+            stack.extend(components_after_removal(t, sep.supernodes))
+    return out
+
+
+def random_connected(rng, n) -> WeightedGraph:
+    """Random connected graph: float weights in [0.1, 3), one zero-weight edge."""
+    edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in edges and rng.random() < 3.0 / n:
+                edges.append((u, v))
+    weights = rng.uniform(0.1, 3.0, len(edges))
+    weights[int(rng.integers(0, len(edges)))] = 0.0
+    relabel = rng.permutation(n)
+    return WeightedGraph(n, [(int(relabel[u]), int(relabel[v]), float(w)) for (u, v), w in zip(edges, weights)])
+
+
+def binary_singletons(n):
+    """Heap-ordered binary tree of n unit edges, one supernode per vertex."""
+    parents = [None] + [(v - 1) // 2 for v in range(1, n)]
+    g = WeightedGraph(n, [(p, v, 1.0) for v, p in enumerate(parents) if p is not None])
+    return g, manual_tree(g, [[v] for v in range(n)], parents)
+
+
+def shuffled_ids(tree, g, rng):
+    """The same tree with its supernode ids permuted, so that a child's id
+    can be smaller than its parent's (the builder numbers parents first)."""
+    new_id = rng.permutation(len(tree.supernodes))
+    old_of = np.argsort(new_id)
+    supernodes = [tree.supernodes[int(i)] for i in old_of]
+    parents = [None if sn.parent is None else int(new_id[sn.parent]) for sn in supernodes]
+    return manual_tree(
+        g,
+        [sn.vertices for sn in supernodes],
+        parents,
+        [sn.skeleton.root for sn in supernodes],
+        [sn.skeleton.edges for sn in supernodes],
+    )
 
 
 def singleton_chain(k):
@@ -88,6 +185,58 @@ class TestSeparatorSelection:
         view = subtree_view(tree, g)
         sep = separator_supernodes(view)
         assert len(sep.supernodes) <= len(view.members)
+
+
+class TestOrderedPassEqualsDefinition:
+    """Selection and component split pinned to the rescanning algorithms."""
+
+    @staticmethod
+    def assert_matches_definition(view):
+        views = recursion_views(view)
+        for t in views:
+            sep = separator_supernodes(t)
+            selected, marked_by = old_separator_supernodes(t)
+            assert sep.supernodes == selected
+            assert list(sep.marking_trace.items()) == list(marked_by.items())
+            comps = components_after_removal(t, sep.supernodes)
+            assert [(c.root, sorted(c.members)) for c in comps] == old_components_after_removal(t, selected)
+        return views
+
+    def test_built_trees_on_random_graphs(self):
+        rng = np.random.default_rng(10)
+        deep = 0
+        for trial in range(12):
+            g = random_connected(rng, int(rng.integers(8, 60)))
+            cfg = CopConfig(delta=float(rng.uniform(0.3, 3.0)), seed=trial)
+            built = build_cop_decomposition(g, cfg)
+            for tree in (built, shuffled_ids(built, g, rng)):
+                views = self.assert_matches_definition(subtree_view(tree, g))
+                deep += sum(1 for t in views if t.root not in (None, tree.root))
+        assert deep > 0  # sub-views below the root were checked too
+
+    def test_singleton_chains(self):
+        for k in range(1, 10):
+            g, tree = singleton_chain(k)
+            self.assert_matches_definition(subtree_view(tree, g))
+
+    def test_binary_singletons(self):
+        g, tree = binary_singletons(63)
+        self.assert_matches_definition(subtree_view(tree, g))
+
+    def test_no_ancestor_queries(self, monkeypatch):
+        # the selection reads preorder slices of the tree, never pairwise
+        # ancestor questions
+        g, tree = binary_singletons(511)
+        view = subtree_view(tree, g)
+        expect = old_separator_supernodes(view)
+
+        def refuse(self, a, b):
+            raise AssertionError("is_ancestor called")
+
+        monkeypatch.setattr(PartitionTree, "is_ancestor", refuse)
+        sep = separator_supernodes(view)
+        assert (sep.supernodes, sep.marking_trace) == expect
+        recursion_views(view)
 
 
 class TestSubtreeWidth:

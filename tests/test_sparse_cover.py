@@ -144,7 +144,69 @@ class TestColorClasses:
         assert c.sparsity(36) <= len(c.color_classes)
 
 
+def old_color_classes(c, tree):
+    """First-fit coloring as first written: an n-length mask per cluster,
+    ANDed against every class mask.  The definition ``color_classes`` keeps."""
+    n = max(int(cl.vertices.max()) for cl in c.clusters if cl.vertices.size) + 1
+    order = sorted(range(len(c.clusters)),
+                   key=lambda i: (int(tree.depth[c.clusters[i].key[0]]), *c.clusters[i].key))
+    class_masks, classes = [], []
+    for i in order:
+        m = np.zeros(n, dtype=np.bool_)
+        m[c.clusters[i].vertices] = True
+        for j, cm in enumerate(class_masks):
+            if not np.any(cm & m):
+                cm |= m
+                classes[j].append(i)
+                break
+        else:
+            class_masks.append(m.copy())
+            classes.append([i])
+    return classes
+
+
+class TestColorClassesDefinition:
+    def test_equals_mask_first_fit(self):
+        rng = np.random.default_rng(8)
+        for trial in range(6):
+            g = grid_graph(7, 7)
+            g = WeightedGraph(49, [(u, v, float(rng.uniform(0.1, 3.0))) for u, v, _ in g.edges()])
+            delta = float(rng.uniform(1.0, 3.0))
+            tree = build_cop_decomposition(g, CopConfig(delta=delta, seed=trial))
+            c = cover(subtree_view(tree, g), full_mask(49), rho=1.0, delta=delta)
+            expect = old_color_classes(c, tree)
+            assert color_classes(c, tree).color_classes == expect
+
+    def test_empty_cluster_joins_first_class(self):
+        g = path_graph(4)
+        tree = manual_tree(g, [[0, 1, 2, 3]], [None])
+        c = Cover(clusters=[make_cluster([0, 1]), make_cluster([], key=(0, 0, 1)),
+                            make_cluster([1, 3], key=(0, 0, 2))],
+                  rho=1.0, delta=1.0)
+        assert color_classes(c, tree).color_classes == old_color_classes(c, tree) == [[0, 1], [2]]
+
+
 class TestVerifyCover:
+    def test_class_disjointness(self):
+        g = path_graph(4)
+        c = Cover(clusters=[make_cluster([0, 1, 2]), make_cluster([2, 3], key=(0, 0, 2)),
+                            make_cluster([3], key=(0, 0, 3))],
+                  rho=1.0, delta=1.0, color_classes=[[0, 2], [1]])
+        rep = verify_cover(c, g, full_mask(4), pad_radius=0.0, diam_bound=4.0)
+        assert rep.class_disjoint_ok and rep.passed and rep.class_count == 2
+        # clusters 0 and 1 share vertex 2
+        c.color_classes = [[0, 1], [2]]
+        rep = verify_cover(c, g, full_mask(4), pad_radius=0.0, diam_bound=4.0)
+        assert not rep.class_disjoint_ok and not rep.passed
+        assert rep.diam_ok and rep.padding_ok
+
+    @pytest.mark.parametrize("index", [3, -1])
+    def test_class_index_outside_clusters_rejected(self, index):
+        c = Cover(clusters=[make_cluster([0]), make_cluster([1]), make_cluster([2])],
+                  rho=1.0, delta=1.0, color_classes=[[0, 1], [2, index]])
+        with pytest.raises(StructuralError, match=f"color class 1 lists cluster {index} outside 0..2"):
+            c.check_class_indices()
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_per_cluster_diam_equals_definition_on_grid_cover(self, weighted):
         g = grid_graph(6, 6)
